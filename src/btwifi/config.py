@@ -8,7 +8,9 @@ Grammar (diff-friendly on purpose):
     m_urllc = 1, 5, 10            comma-separated integer list
     schemes = legacy, proposed    subset of {legacy, proposed}
     seeds = 1, 2, 3               comma-separated integer list
-    trace = off                   on/off (also true/false, yes/no, 1/0)
+
+Repeating an entry in m_urllc, schemes or seeds is an error: it would only
+run the same grid point twice.
 
 Sections and keys are listed in SCHEMA below; an empty file yields the
 full default scenario.  Parsing validates everything it can and reports
@@ -58,7 +60,6 @@ class ScenarioConfig:
     urllc_ack_airtime: int = 44
     urllc_payload_bits: int = 1600
     urllc_mean_interarrival: int = 10_000
-    trace_enabled: bool = False
 
     def phy(self) -> PhyConstants:
         return PhyConstants(self.slot_time, self.sifs, self.ack_timeout_guard)
@@ -76,14 +77,14 @@ class ScenarioConfig:
                           self.urllc_payload_bits)
 
     def run_config(self, scheme: str, m: int, seed: int,
-                   trace: bool | None = None) -> RunConfig:
+                   trace: bool = False) -> RunConfig:
         return RunConfig(
             scheme=scheme, n_regular=self.n_regular, m_urllc=m, seed=seed,
             sim_duration=self.sim_duration, warmup=self.warmup,
             phy=self.phy(), regular=self.regular_params(),
             urllc=self.urllc_params(), detection_delay=self.detection_delay,
             urllc_mean_interarrival=self.urllc_mean_interarrival,
-            trace=self.trace_enabled if trace is None else trace)
+            trace=trace)
 
 
 class ConfigError(ValueError):
@@ -95,17 +96,15 @@ class ConfigError(ValueError):
             f"line {line}: {msg}" if line else msg for line, msg in problems))
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("on", "true", "yes", "1"):
-        return True
-    if t in ("off", "false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+def _no_repeats(values: tuple) -> tuple:
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"{v!r} is listed twice")
+    return values
 
 
 def _parse_int_list(text: str) -> tuple:
-    return tuple(int(part.strip()) for part in text.split(","))
+    return _no_repeats(tuple(int(part.strip()) for part in text.split(",")))
 
 
 def _parse_schemes(text: str) -> tuple:
@@ -113,7 +112,7 @@ def _parse_schemes(text: str) -> tuple:
     for s in out:
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r} (choose from {', '.join(SCHEMES)})")
-    return out
+    return _no_repeats(out)
 
 
 # (section, key) -> (ScenarioConfig attribute, value parser)
@@ -124,7 +123,6 @@ SCHEMA = {
     ("run", "seeds"): ("seeds", _parse_int_list),
     ("run", "sim_duration_us"): ("sim_duration", int),
     ("run", "warmup_us"): ("warmup", int),
-    ("run", "trace"): ("trace_enabled", _parse_bool),
     ("phy", "slot_us"): ("slot_time", int),
     ("phy", "sifs_us"): ("sifs", int),
     ("phy", "ack_timeout_guard_us"): ("ack_timeout_guard", int),

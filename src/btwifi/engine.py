@@ -27,12 +27,9 @@ class ContractViolation(RuntimeError):
 
 @dataclass(slots=True)
 class Event:
-    """A scheduled callback.  (fire_at, seq) totally orders all events."""
+    """A scheduled callback; the queue orders events by (fire_at, insertion)."""
 
     fire_at: SimTime
-    seq: int
-    kind: str
-    target: str
     fn: Callable[[], None] = field(repr=False)
     cancelled: bool = False
 
@@ -46,18 +43,18 @@ class Engine:
         self._heap: list[tuple[SimTime, int, Event]] = []
         self._seq = 0
 
-    def schedule(self, fire_at: SimTime, fn: Callable[[], None],
-                 kind: str = "", target: str = "") -> Event:
+    def schedule(self, fire_at: SimTime, fn: Callable[[], None]) -> Event:
         """Schedule fn at fire_at; returns a handle usable with cancel().
 
         Scheduling in the past is a fatal contract violation.
         """
         if fire_at < self.now:
             raise ContractViolation(
-                f"schedule at t={fire_at} but clock is at t={self.now} ({kind})")
-        ev = Event(fire_at, self._seq, kind, target, fn)
+                f"schedule at t={fire_at} but clock is at t={self.now} "
+                f"({getattr(fn, '__qualname__', fn)})")
+        ev = Event(fire_at, fn)
+        heapq.heappush(self._heap, (fire_at, self._seq, ev))
         self._seq += 1
-        heapq.heappush(self._heap, (fire_at, ev.seq, ev))
         return ev
 
     def cancel(self, ev: Optional[Event]) -> bool:
@@ -100,8 +97,6 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: str) -> None:
-        self.seed = seed
-        self.stream_id = stream_id
         self._rng = random.Random(f"{seed}/{stream_id}")
 
     def uniform_int(self, lo: int, hi: int) -> int:
@@ -116,13 +111,3 @@ class RngStream:
             raise ContractViolation(f"exponential: mean={mean} must be positive")
         d = round(self._rng.expovariate(1.0 / mean))
         return d if d >= 1 else 1
-
-
-class RngStreams:
-    """Factory handing out per-purpose streams from one master seed."""
-
-    def __init__(self, master_seed: int) -> None:
-        self.master_seed = master_seed
-
-    def stream(self, stream_id: str) -> RngStream:
-        return RngStream(self.master_seed, stream_id)

@@ -69,7 +69,6 @@ class Frame:
     kind: str  # "regular-data" | "urllc-data"
     arrival_time: SimTime
     delivery_time: Optional[SimTime] = None
-    preemptions: int = 0
 
 
 class Station:
@@ -134,8 +133,7 @@ class Station:
         now = self.engine.now
         self._anchor = now + self.aifs_us
         self._arm_ev = self.engine.schedule(
-            self._anchor + self.counter * self.phy.slot_time,
-            self._fire_tx, "slot-boundary", self.sta_id)
+            self._anchor + self.counter * self.phy.slot_time, self._fire_tx)
 
     def _apply_decrements(self, t: SimTime) -> None:
         if self._anchor is not None:
@@ -161,8 +159,7 @@ class Station:
                 and self._fast_ev is None):
             self._anchor = t + self.aifs_us
             self._arm_ev = self.engine.schedule(
-                self._anchor + self.counter * self.phy.slot_time,
-                self._fire_tx, "slot-boundary", self.sta_id)
+                self._anchor + self.counter * self.phy.slot_time, self._fire_tx)
 
     # -- tone channel ---------------------------------------------------------
 
@@ -203,15 +200,13 @@ class Station:
             frame_id=self.head.frame_id)
         timeout_at = now + p.data_airtime + self.phy.sifs + p.ack_airtime \
             + self.phy.ack_timeout_guard
-        self._timeout_ev = self.engine.schedule(
-            timeout_at, self._on_ack_timeout, "ack-timeout", self.sta_id)
+        self._timeout_ev = self.engine.schedule(timeout_at, self._on_ack_timeout)
 
     def _on_data_end(self, outcome: str) -> None:
         self._cur_tx = None
         if outcome == CLEAN:
             self.state = AWAIT_ACK
-            self.engine.schedule(self.engine.now + self.phy.sifs, self._start_ack,
-                                 "ack-start", self.sta_id)
+            self.engine.schedule(self.engine.now + self.phy.sifs, self._start_ack)
         elif outcome == COLLIDED:
             self.state = AWAIT_ACK  # no ack will come; the timeout handles it
             if self.collector is not None:
@@ -219,7 +214,6 @@ class Station:
         else:  # ABORTED: the tone preempted us mid-frame
             self.engine.cancel(self._timeout_ev)
             self._timeout_ev = None
-            self.head.preemptions += 1
             if self.collector is not None:
                 self.collector.on_preempted()
             if self.tracer is not None:

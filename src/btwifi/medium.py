@@ -28,17 +28,10 @@ ABORTED = "aborted"
 class Transmission:
     tx_id: int
     sta: str
-    frame_kind: str  # "regular-data" | "urllc-data" | "ack"
-    start: SimTime
-    duration: SimTime
     on_end: Callable[[str], None]
     aborted_at: Optional[SimTime] = None
     dirty: bool = False  # overlapped some other transmission at any point
     _end_ev: object = None
-
-    @property
-    def end(self) -> SimTime:
-        return self.aborted_at if self.aborted_at is not None else self.start + self.duration
 
 
 class Medium:
@@ -64,13 +57,13 @@ class Medium:
     def is_main_busy(self) -> bool:
         return bool(self._active)
 
-    def begin_transmission(self, sta: str, frame_kind: str, duration: SimTime,
+    def begin_transmission(self, sta: str, ftype: str, duration: SimTime,
                            on_end: Callable[[str], None], frame_id=None) -> Transmission:
         now = self.engine.now
         for other in self._active.values():
             if other.sta == sta:
                 raise ContractViolation(f"{sta} began a second transmission at t={now}")
-        tx = Transmission(self._next_tx_id, sta, frame_kind, now, duration, on_end)
+        tx = Transmission(self._next_tx_id, sta, on_end)
         self._next_tx_id += 1
         was_idle = not self._active
         if not was_idle:
@@ -78,10 +71,9 @@ class Medium:
             for other in self._active.values():
                 other.dirty = True
         self._active[tx.tx_id] = tx
-        tx._end_ev = self.engine.schedule(now + duration, lambda: self._finish(tx),
-                                          "tx-end", sta)
+        tx._end_ev = self.engine.schedule(now + duration, lambda: self._finish(tx))
         if self.tracer is not None:
-            self.tracer.tx_start(now, sta, tx.tx_id, frame_kind, duration, frame_id)
+            self.tracer.tx_start(now, sta, tx.tx_id, ftype, duration, frame_id)
         if was_idle:
             if self.collector is not None:
                 self.collector.on_main_busy(now)
@@ -153,9 +145,7 @@ class Medium:
             self._deliver_control(busy)
         else:
             self.engine.schedule(at + self.detection_delay,
-                                 lambda: self._deliver_control(busy),
-                                 kind="busy-tone-on" if busy else "busy-tone-off",
-                                 target="medium")
+                                 lambda: self._deliver_control(busy))
 
     def _deliver_control(self, busy: bool) -> None:
         now = self.engine.now

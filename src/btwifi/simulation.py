@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import Engine, RngStreams, SimTime
+from .engine import Engine, RngStream, SimTime
 from .mac import EdcaParams, PhyConstants, Station
 from .medium import Medium
 from .metrics import MetricsCollector, RunSummary
@@ -50,7 +50,6 @@ def run_single(cfg: RunConfig) -> RunResult:
     if cfg.scheme not in (LEGACY, PROPOSED):
         raise ValueError(f"unknown scheme {cfg.scheme!r}")
     engine = Engine()
-    streams = RngStreams(cfg.seed)
     tracer = Tracer() if cfg.trace else None
     collector = MetricsCollector(cfg.warmup, cfg.sim_duration)
     medium = Medium(engine, cfg.detection_delay, collector, tracer)
@@ -60,17 +59,17 @@ def run_single(cfg: RunConfig) -> RunResult:
     sources = []
     for i in range(cfg.n_regular):
         sta = Station(f"r{i}", "regular", cfg.regular, cfg.phy, engine, medium,
-                      streams.stream(f"r{i}:backoff"), collector, tracer,
+                      RngStream(cfg.seed, f"r{i}:backoff"), collector, tracer,
                       reacts_to_tone=proposed)
         stations.append(sta)
         sources.append(SaturatedSource(sta))
     for j in range(cfg.m_urllc):
         sta_cls = UrllcStation if proposed else Station
         sta = sta_cls(f"u{j}", "urllc", cfg.urllc, cfg.phy, engine, medium,
-                      streams.stream(f"u{j}:backoff"), collector, tracer)
+                      RngStream(cfg.seed, f"u{j}:backoff"), collector, tracer)
         stations.append(sta)
         sources.append(ExpAfterSuccessSource(sta, cfg.urllc_mean_interarrival,
-                                             streams.stream(f"u{j}:arrival")))
+                                             RngStream(cfg.seed, f"u{j}:arrival")))
     medium.listeners = stations
     for src in sources:
         src.start(engine)

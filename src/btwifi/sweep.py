@@ -69,13 +69,14 @@ def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
     tasks = []
     for scheme, m, seed in expand_grid(cfg):
         trace_path = None
-        trace = cfg.trace_enabled
         if trace_dir is not None:
-            trace = True
             trace_path = str(Path(trace_dir) / trace_filename(scheme, cfg.n_regular, m, seed))
-        tasks.append((cfg.run_config(scheme, m, seed, trace=trace), trace_path))
-    if jobs > 1 and len(tasks) > 1:
-        with get_context("spawn").Pool(jobs) as pool:
+        tasks.append((cfg.run_config(scheme, m, seed, trace=trace_path is not None),
+                      trace_path))
+    # More workers than points or CPUs would only add interpreter start-ups.
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with get_context("spawn").Pool(workers) as pool:
             summaries = pool.map(_execute_point, tasks)
     else:
         summaries = [_execute_point(t) for t in tasks]

@@ -10,7 +10,6 @@ references.
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 
 class Tracer:
@@ -50,7 +49,3 @@ class Tracer:
 
     def dropped(self, t, sta, frame) -> None:
         self.emit({"t": t, "kind": "dropped", "sta": sta, "frame": frame})
-
-
-def parse_trace(lines: Iterable[str]) -> list[dict]:
-    return [json.loads(line) for line in lines if line.strip()]

@@ -14,7 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .sweep import _fmt
+from .metrics import RunSummary, nearest_rank
+from .sweep import summary_row
 
 
 @dataclass(slots=True)
@@ -157,8 +158,6 @@ def count_kinds(lines: Iterable[str]) -> dict[str, int]:
 def replay_csv_row(lines: Iterable[str], scheme: str, m: int, n: int, seed: int,
                    duration: int, warmup: int, regular_payload_bits: int) -> str:
     """Recompute a summary CSV row from the trace alone."""
-    from .metrics import nearest_rank
-
     records = load_records(lines)
     arrival_t: dict[str, int] = {}
     arrival_cls: dict[str, str] = {}
@@ -199,11 +198,18 @@ def replay_csv_row(lines: Iterable[str], scheme: str, m: int, n: int, seed: int,
     delays.sort()
     if delays:
         mean = sum(delays) / len(delays)
-        p99 = nearest_rank(delays, 99)
+        median, p95, p99, dmax = (nearest_rank(delays, p) for p in (50, 95, 99, 100))
     else:
-        mean = p99 = None
-    fields = (scheme, m, n, seed, mean, p99,
-              delivered["urllc"], dropped["urllc"], collided["urllc"],
-              regular_bits * 1_000_000 / window, delivered["regular"],
-              preempted, busy / window, duration, warmup)
-    return ",".join(_fmt(f) for f in fields)
+        mean = median = p95 = p99 = dmax = None
+    return summary_row(RunSummary(
+        scheme=scheme, m_urllc=m, n_regular=n, seed=seed,
+        sim_duration=duration, warmup=warmup,
+        urllc_delay_mean=mean, urllc_delay_median=median, urllc_delay_p95=p95,
+        urllc_delay_p99=p99, urllc_delay_max=dmax,
+        urllc_delivered=delivered["urllc"], urllc_dropped=dropped["urllc"],
+        urllc_collided=collided["urllc"],
+        regular_throughput_bps=regular_bits * 1_000_000 / window,
+        regular_delivered=delivered["regular"],
+        regular_dropped=dropped["regular"], regular_preempted=preempted,
+        regular_collided=collided["regular"],
+        channel_busy_fraction=busy / window))

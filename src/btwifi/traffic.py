@@ -18,54 +18,43 @@ from .engine import Engine, RngStream, SimTime
 from .mac import Frame, Station
 
 
-class SaturatedSource:
-    kind = "saturated"
+class _Source:
+    """Arrival bookkeeping shared by both processes: numbered frames,
+    handed to the station the moment they arrive."""
 
     def __init__(self, station: Station) -> None:
         self.station = station
         station.source = self
         self._n = 0
 
-    def start(self, engine: Engine) -> None:
-        engine.schedule(0, self._arrive, kind="arrival", target=self.station.sta_id)
-
     def _arrive(self) -> None:
         sta = self.station
         frame = Frame(f"{sta.sta_id}:{self._n}", sta.sta_id,
                       f"{sta.traffic_class}-data", sta.engine.now)
         self._n += 1
         sta.enqueue(frame)
+
+
+class SaturatedSource(_Source):
+    def start(self, engine: Engine) -> None:
+        engine.schedule(0, self._arrive)
 
     def on_service_complete(self, outcome: str, at: SimTime) -> None:
         self._arrive()
 
 
-class ExpAfterSuccessSource:
-    kind = "exp_after_success"
-
+class ExpAfterSuccessSource(_Source):
     def __init__(self, station: Station, mean_interarrival: SimTime,
                  rng: RngStream) -> None:
         if mean_interarrival <= 0:
             raise ValueError("mean_interarrival must be positive")
-        self.station = station
+        super().__init__(station)
         self.mean = mean_interarrival
         self.rng = rng
-        station.source = self
-        self._n = 0
 
     def start(self, engine: Engine) -> None:
-        first = self.rng.uniform_int(0, self.mean - 1)
-        engine.schedule(first, self._arrive, kind="arrival",
-                        target=self.station.sta_id)
-
-    def _arrive(self) -> None:
-        sta = self.station
-        frame = Frame(f"{sta.sta_id}:{self._n}", sta.sta_id,
-                      f"{sta.traffic_class}-data", sta.engine.now)
-        self._n += 1
-        sta.enqueue(frame)
+        engine.schedule(self.rng.uniform_int(0, self.mean - 1), self._arrive)
 
     def on_service_complete(self, outcome: str, at: SimTime) -> None:
         gap = self.rng.exponential(self.mean)
-        self.station.engine.schedule(at + gap, self._arrive, kind="arrival",
-                                     target=self.station.sta_id)
+        self.station.engine.schedule(at + gap, self._arrive)

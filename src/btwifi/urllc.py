@@ -22,19 +22,7 @@ resolved by ordinary EDCA retries while both tones stay up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .engine import SimTime
 from .mac import Frame, Station
-
-
-@dataclass(slots=True)
-class ToneSession:
-    sta: str
-    started_at: SimTime
-    fast_path: bool
-    ends_at: Optional[SimTime] = None
 
 
 class UrllcStation(Station):
@@ -47,19 +35,15 @@ class UrllcStation(Station):
     def __init__(self, *args, **kwargs) -> None:
         kwargs["reacts_to_tone"] = False
         super().__init__(*args, **kwargs)
-        self.session: Optional[ToneSession] = None
 
     def _after_enqueue(self, frame: Frame) -> None:
         now = self.engine.now
         fast = not self.medium.tone_asserted_before(now)
-        self.session = ToneSession(self.sta_id, now, fast)
         if fast:
             # Sole tone holder: data goes on air AIFS after the tone onset,
             # no backoff draw at all, independent of main-channel history.
             self.counter = 0
-            self._fast_ev = self.engine.schedule(
-                now + self.aifs_us, self._fire_fast, kind="fast-path",
-                target=self.sta_id)
+            self._fast_ev = self.engine.schedule(now + self.aifs_us, self._fire_fast)
         else:
             self.counter = self.rng.uniform_int(0, self.cw_current)
         if self.tracer is not None:
@@ -76,7 +60,6 @@ class UrllcStation(Station):
 
     def _after_service(self, frame: Frame, outcome: str) -> None:
         now = self.engine.now
-        self.session.ends_at = now
         if self.tracer is not None:
             self.tracer.tone_off(now, self.sta_id, outcome)
         self.medium.busy_tone_set(self.sta_id, False)

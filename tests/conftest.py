@@ -77,8 +77,7 @@ class Bench:
         self.engine.schedule(
             t, lambda: sta.enqueue(Frame(fid, sta.sta_id,
                                          f"{sta.traffic_class}-data",
-                                         sta.engine.now)),
-            "arrival", sta.sta_id)
+                                         sta.engine.now)))
         return fid
 
     def run(self, until=None):

@@ -1,5 +1,6 @@
 import pytest
 
+from btwifi.cli import main
 from btwifi.config import (ConfigError, ScenarioConfig, parse_config,
                            validate)
 
@@ -14,7 +15,6 @@ def test_empty_file_yields_full_defaults():
     assert cfg.warmup == 1_000_000
     assert cfg.urllc_mean_interarrival == 10_000
     assert cfg.regular_data_airtime == 2000
-    assert cfg.trace_enabled is False
 
 
 def test_full_file_round_trip():
@@ -27,7 +27,6 @@ def test_full_file_round_trip():
         seeds = 7
         sim_duration_us = 5000000
         warmup_us = 100000
-        trace = on
 
         [phy]
         slot_us = 9
@@ -49,7 +48,6 @@ def test_full_file_round_trip():
     assert cfg.regular_cw_min == 31
     assert cfg.regular_data_airtime == 1500
     assert cfg.urllc_mean_interarrival == 5000
-    assert cfg.trace_enabled is True
 
 
 def test_overlong_regular_airtime_is_rejected_with_bound():
@@ -67,6 +65,8 @@ def test_all_problems_reported_at_once_with_line_numbers():
         "x = 1",                   # line 5: key before valid section
         "[urllc]",
         "cw_min = 6",              # not 2^k - 1
+        "[run]",
+        "trace = on",              # line 9: traces come from --trace-dir only
     ])
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
@@ -75,6 +75,21 @@ def test_all_problems_reported_at_once_with_line_numbers():
     assert len(problems) >= 5
     assert "line 2" in msg and "line 3" in msg and "line 4" in msg
     assert "2^k - 1" in msg
+    assert "line 9: unknown key 'trace'" in msg
+
+
+def test_repeated_grid_entries_are_rejected_with_line_numbers(tmp_path):
+    text = "[run]\nm_urllc = 1, 1\nseeds = 3, 3\nschemes = legacy, legacy\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    msg = str(exc.value)
+    assert "line 2: bad value for 'm_urllc': 1 is listed twice" in msg
+    assert "line 3: bad value for 'seeds': 3 is listed twice" in msg
+    assert "line 4: bad value for 'schemes': 'legacy' is listed twice" in msg
+    cfg_file = tmp_path / "repeats.cfg"
+    cfg_file.write_text(text, encoding="utf-8")
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "o.csv")]) == 1
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_m_zero_with_both_schemes_is_legal():

@@ -1,12 +1,12 @@
 import pytest
 
-from btwifi.engine import ContractViolation, Engine, RngStream, RngStreams
+from btwifi.engine import ContractViolation, Engine, RngStream
 
 
 def test_schedule_and_dispatch_at_fire_time():
     eng = Engine()
     fired = []
-    eng.schedule(2000, lambda: fired.append(eng.now), "tx-end", "r0")
+    eng.schedule(2000, lambda: fired.append(eng.now))
     n = eng.run_until(5000)
     assert n == 1
     assert fired == [2000]
@@ -150,7 +150,7 @@ def test_exponential_floor_one_tick():
 
 
 def test_streams_factory_is_deterministic():
-    s1 = RngStreams(5).stream("u0:arrival")
-    s2 = RngStreams(5).stream("u0:arrival")
+    s1 = RngStream(5, "u0:arrival")
+    s2 = RngStream(5, "u0:arrival")
     assert [s1.exponential(100) for _ in range(50)] == \
            [s2.exponential(100) for _ in range(50)]

@@ -98,6 +98,21 @@ def test_simultaneous_zero_backoff_collides_then_retries():
     assert starts[1]["t"] == 2164
 
 
+def test_busy_edge_on_the_zero_boundary_still_transmits_and_collides():
+    # Draw 5: r0's counter reaches 0 at 43 + 45 = 88.  A foreign frame that
+    # starts at 88 and is dispatched first must not freeze r0: the slot
+    # before the boundary was idle, so r0 transmits into the collision.
+    b = Bench()
+    a = b.add_regular("r0", draws=[5])
+    b.engine.schedule(88, lambda: b.medium.begin_transmission(
+        "x", "regular-data", 100, lambda o: None))
+    b.enqueue_at(0, a)
+    b.run(3000)
+    starts = [(e["sta"], e["t"]) for e in b.events("tx_start")]
+    assert starts[:2] == [("x", 88), ("r0", 88)]
+    assert [e["outcome"] for e in b.events("tx_end")[:2]] == ["collided", "collided"]
+
+
 def test_cw_ladder_and_drop_at_retry_limit():
     # Two stations drawing 0 forever collide 8 times and both drop.
     b = Bench()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 from btwifi.cli import main
 from btwifi.config import ScenarioConfig
@@ -60,6 +61,36 @@ def test_parallel_execution_matches_serial():
     serial = render_csv(run_sweep(QUICK))
     parallel = render_csv(run_sweep(QUICK, jobs=2))
     assert serial == parallel
+
+
+def test_pool_size_is_capped_by_points_and_cpus(monkeypatch):
+    import multiprocessing
+
+    import btwifi.sweep as sweep_mod
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing.get_context("spawn"), "Pool", RecordingPool)
+    two_points = ScenarioConfig(n_regular=1, m_list=(1,), schemes=("legacy",),
+                                seeds=(1, 2), sim_duration=100_000, warmup=0)
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 8)
+    run_sweep(two_points, jobs=3)
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 2)
+    run_sweep(replace(two_points, seeds=(1, 2, 3, 4)), jobs=3)
+    assert sizes == [2, 2]
 
 
 def test_csv_numbers_are_plain_decimal():
