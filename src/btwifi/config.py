@@ -10,7 +10,8 @@ Grammar (diff-friendly on purpose):
     seeds = 1, 2, 3               comma-separated integer list
 
 Repeating an entry in m_urllc, schemes or seeds is an error: it would only
-run the same grid point twice.
+run the same grid point twice.  So is setting a key twice in one section
+(headers may repeat), which would otherwise silently keep the last value.
 
 Sections and keys are listed in SCHEMA below; an empty file yields the
 full default scenario.  Parsing validates everything it can and reports
@@ -19,7 +20,7 @@ all problems at once, each with its line number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .mac import EdcaParams, PhyConstants
 from .simulation import RunConfig
@@ -41,48 +42,19 @@ class ScenarioConfig:
     seeds: tuple = DEFAULT_SEEDS
     sim_duration: int = 100_000_000  # 100 s
     warmup: int = 1_000_000  # 1 s
-    slot_time: int = 9
-    sifs: int = 16
-    ack_timeout_guard: int = 9
     detection_delay: int = 0
-    regular_aifsn: int = 3
-    regular_cw_min: int = 15
-    regular_cw_max: int = 1023
-    regular_retry_limit: int = 7
-    regular_data_airtime: int = 2000
-    regular_ack_airtime: int = 44
-    regular_payload_bits: int = 129_760
-    urllc_aifsn: int = 2
-    urllc_cw_min: int = 3
-    urllc_cw_max: int = 15
-    urllc_retry_limit: int = 7
-    urllc_data_airtime: int = 200
-    urllc_ack_airtime: int = 44
-    urllc_payload_bits: int = 1600
     urllc_mean_interarrival: int = 10_000
-
-    def phy(self) -> PhyConstants:
-        return PhyConstants(self.slot_time, self.sifs, self.ack_timeout_guard)
-
-    def regular_params(self) -> EdcaParams:
-        return EdcaParams(self.regular_aifsn, self.regular_cw_min,
-                          self.regular_cw_max, self.regular_retry_limit,
-                          self.regular_data_airtime, self.regular_ack_airtime,
-                          self.regular_payload_bits)
-
-    def urllc_params(self) -> EdcaParams:
-        return EdcaParams(self.urllc_aifsn, self.urllc_cw_min,
-                          self.urllc_cw_max, self.urllc_retry_limit,
-                          self.urllc_data_airtime, self.urllc_ack_airtime,
-                          self.urllc_payload_bits)
+    phy: PhyConstants = PhyConstants()
+    regular: EdcaParams = EdcaParams(3, 15, 1023, 7, 2000, 44, 129_760)
+    urllc: EdcaParams = EdcaParams(2, 3, 15, 7, 200, 44, 1600)
 
     def run_config(self, scheme: str, m: int, seed: int,
                    trace: bool = False) -> RunConfig:
         return RunConfig(
             scheme=scheme, n_regular=self.n_regular, m_urllc=m, seed=seed,
             sim_duration=self.sim_duration, warmup=self.warmup,
-            phy=self.phy(), regular=self.regular_params(),
-            urllc=self.urllc_params(), detection_delay=self.detection_delay,
+            phy=self.phy, regular=self.regular, urllc=self.urllc,
+            detection_delay=self.detection_delay,
             urllc_mean_interarrival=self.urllc_mean_interarrival,
             trace=trace)
 
@@ -115,33 +87,25 @@ def _parse_schemes(text: str) -> tuple:
     return _no_repeats(out)
 
 
-# (section, key) -> (ScenarioConfig attribute, value parser)
+# (section, key) -> (ScenarioConfig group or None, attribute, value parser)
 SCHEMA = {
-    ("run", "n_regular"): ("n_regular", int),
-    ("run", "m_urllc"): ("m_list", _parse_int_list),
-    ("run", "schemes"): ("schemes", _parse_schemes),
-    ("run", "seeds"): ("seeds", _parse_int_list),
-    ("run", "sim_duration_us"): ("sim_duration", int),
-    ("run", "warmup_us"): ("warmup", int),
-    ("phy", "slot_us"): ("slot_time", int),
-    ("phy", "sifs_us"): ("sifs", int),
-    ("phy", "ack_timeout_guard_us"): ("ack_timeout_guard", int),
-    ("phy", "detection_delay_us"): ("detection_delay", int),
-    ("regular", "aifsn"): ("regular_aifsn", int),
-    ("regular", "cw_min"): ("regular_cw_min", int),
-    ("regular", "cw_max"): ("regular_cw_max", int),
-    ("regular", "retry_limit"): ("regular_retry_limit", int),
-    ("regular", "data_airtime_us"): ("regular_data_airtime", int),
-    ("regular", "ack_airtime_us"): ("regular_ack_airtime", int),
-    ("regular", "payload_bits"): ("regular_payload_bits", int),
-    ("urllc", "aifsn"): ("urllc_aifsn", int),
-    ("urllc", "cw_min"): ("urllc_cw_min", int),
-    ("urllc", "cw_max"): ("urllc_cw_max", int),
-    ("urllc", "retry_limit"): ("urllc_retry_limit", int),
-    ("urllc", "data_airtime_us"): ("urllc_data_airtime", int),
-    ("urllc", "ack_airtime_us"): ("urllc_ack_airtime", int),
-    ("urllc", "payload_bits"): ("urllc_payload_bits", int),
-    ("urllc", "mean_interarrival_us"): ("urllc_mean_interarrival", int),
+    ("run", "n_regular"): (None, "n_regular", int),
+    ("run", "m_urllc"): (None, "m_list", _parse_int_list),
+    ("run", "schemes"): (None, "schemes", _parse_schemes),
+    ("run", "seeds"): (None, "seeds", _parse_int_list),
+    ("run", "sim_duration_us"): (None, "sim_duration", int),
+    ("run", "warmup_us"): (None, "warmup", int),
+    ("phy", "slot_us"): ("phy", "slot_time", int),
+    ("phy", "sifs_us"): ("phy", "sifs", int),
+    ("phy", "ack_timeout_guard_us"): ("phy", "ack_timeout_guard", int),
+    ("phy", "detection_delay_us"): (None, "detection_delay", int),
+    # [regular] and [urllc] share the EDCA keys; "_us" is not in the attribute
+    **{(cls, key): (cls, key.removesuffix("_us"), int)
+       for cls in ("regular", "urllc")
+       for key in ("aifsn", "cw_min", "cw_max", "retry_limit",
+                   "data_airtime_us", "ack_airtime_us")},
+    ("regular", "payload_bits"): ("regular", "payload_bits", int),
+    ("urllc", "mean_interarrival_us"): (None, "urllc_mean_interarrival", int),
 }
 
 SECTIONS = sorted({section for section, _ in SCHEMA})
@@ -173,30 +137,27 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     if not 0 <= cfg.warmup < cfg.sim_duration:
         bad.append("warmup_us must satisfy 0 <= warmup < sim_duration")
     for name in ("slot_time", "sifs", "ack_timeout_guard"):
-        if getattr(cfg, name) < 1:
+        if getattr(cfg.phy, name) < 1:
             bad.append(f"{name} must be strictly positive")
     if cfg.detection_delay < 0:
         bad.append("detection_delay_us must be >= 0")
-    if cfg.regular_data_airtime > MAX_REGULAR_AIRTIME_US:
-        bad.append(f"regular data_airtime_us {cfg.regular_data_airtime} exceeds "
+    if cfg.regular.data_airtime > MAX_REGULAR_AIRTIME_US:
+        bad.append(f"regular data_airtime_us {cfg.regular.data_airtime} exceeds "
                    f"the ~5 ms airtime bound ({MAX_REGULAR_AIRTIME_US} us)")
-    for cls in ("regular", "urllc"):
-        aifsn = getattr(cfg, f"{cls}_aifsn")
-        cw_min = getattr(cfg, f"{cls}_cw_min")
-        cw_max = getattr(cfg, f"{cls}_cw_max")
-        if aifsn < 2:
+    for cls, p in (("regular", cfg.regular), ("urllc", cfg.urllc)):
+        if p.aifsn < 2:
             bad.append(f"{cls} aifsn must be >= 2")
-        if not _is_cw_shape(cw_min) or not _is_cw_shape(cw_max):
+        if not _is_cw_shape(p.cw_min) or not _is_cw_shape(p.cw_max):
             bad.append(f"{cls} cw_min/cw_max must be of the form 2^k - 1")
-        if cw_min > cw_max:
+        if p.cw_min > p.cw_max:
             bad.append(f"{cls} cw_min must be <= cw_max")
-        if getattr(cfg, f"{cls}_retry_limit") < 0:
+        if p.retry_limit < 0:
             bad.append(f"{cls} retry_limit must be >= 0")
-        if getattr(cfg, f"{cls}_data_airtime") < 1:
+        if p.data_airtime < 1:
             bad.append(f"{cls} data_airtime_us must be >= 1")
-        if getattr(cfg, f"{cls}_ack_airtime") < 1:
+        if p.ack_airtime < 1:
             bad.append(f"{cls} ack_airtime_us must be >= 1")
-        if getattr(cfg, f"{cls}_payload_bits") < 0:
+        if p.payload_bits < 0:
             bad.append(f"{cls} payload_bits must be >= 0")
     if cfg.urllc_mean_interarrival < 1:
         bad.append("urllc mean_interarrival_us must be >= 1")
@@ -207,7 +168,8 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario file; raises ConfigError listing
     every problem found."""
     problems: list[tuple[int, str]] = []
-    values = {}
+    values: dict = {}  # group or None -> {attribute: parsed value}
+    set_on: dict = {}  # (section, key) -> line of its first setting
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -232,12 +194,19 @@ def parse_config(text: str) -> ScenarioConfig:
         if entry is None:
             problems.append((lineno, f"unknown key {key!r} in section [{section}]"))
             continue
-        attr, parser = entry
+        first = set_on.setdefault((section, key), lineno)
+        if first != lineno:
+            problems.append((lineno, f"key {key!r} in [{section}] already set "
+                             f"on line {first}"))
+            continue
+        group, attr, parser = entry
         try:
-            values[attr] = parser(value.strip())
+            values.setdefault(group, {})[attr] = parser(value.strip())
         except ValueError as exc:
             problems.append((lineno, f"bad value for {key!r}: {exc}"))
-    cfg = replace(ScenarioConfig(), **values)
+    cfg = replace(ScenarioConfig(), **values.pop(None, {}))
+    cfg = replace(cfg, **{group: replace(getattr(cfg, group), **attrs)
+                          for group, attrs in values.items()})
     problems.extend((0, msg) for msg in validate(cfg))
     if problems:
         raise ConfigError(problems)

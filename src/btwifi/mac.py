@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import ContractViolation, Engine, Event, RngStream, SimTime
+from .engine import ContractViolation, Event, RngStream, SimTime
 from .medium import ABORTED, CLEAN, COLLIDED, Medium, Transmission
 
 IDLE = "idle"
@@ -65,8 +65,6 @@ def aifs(params: EdcaParams, phy: PhyConstants) -> SimTime:
 @dataclass(slots=True)
 class Frame:
     frame_id: str
-    sta: str
-    kind: str  # "regular-data" | "urllc-data"
     arrival_time: SimTime
     delivery_time: Optional[SimTime] = None
 
@@ -75,18 +73,17 @@ class Station:
     """One EDCA transmitter with a single-frame buffer."""
 
     def __init__(self, sta_id: str, traffic_class: str, params: EdcaParams,
-                 phy: PhyConstants, engine: Engine, medium: Medium,
-                 rng: RngStream, collector=None, tracer=None,
+                 phy: PhyConstants, medium: Medium, rng: RngStream,
                  reacts_to_tone: bool = False) -> None:
         self.sta_id = sta_id
         self.traffic_class = traffic_class  # "regular" | "urllc"
         self.params = params
         self.phy = phy
-        self.engine = engine
+        self.engine = medium.engine
         self.medium = medium
         self.rng = rng
-        self.collector = collector
-        self.tracer = tracer
+        self.collector = medium.collector
+        self.tracer = medium.tracer
         self.reacts_to_tone = reacts_to_tone
         self.source = None  # set after construction
 
@@ -196,8 +193,8 @@ class Station:
         p = self.params
         self.state = TX
         self._cur_tx = self.medium.begin_transmission(
-            self.sta_id, self.head.kind, p.data_airtime, self._on_data_end,
-            frame_id=self.head.frame_id)
+            self.sta_id, f"{self.traffic_class}-data", p.data_airtime,
+            self._on_data_end, frame_id=self.head.frame_id)
         timeout_at = now + p.data_airtime + self.phy.sifs + p.ack_airtime \
             + self.phy.ack_timeout_guard
         self._timeout_ev = self.engine.schedule(timeout_at, self._on_ack_timeout)

@@ -33,9 +33,9 @@ class RunConfig:
     phy: PhyConstants
     regular: EdcaParams
     urllc: EdcaParams
-    detection_delay: SimTime = 0
-    urllc_mean_interarrival: SimTime = 10_000
-    trace: bool = False
+    detection_delay: SimTime
+    urllc_mean_interarrival: SimTime
+    trace: bool
 
 
 @dataclass(slots=True)
@@ -58,15 +58,14 @@ def run_single(cfg: RunConfig) -> RunResult:
     stations: list[Station] = []
     sources = []
     for i in range(cfg.n_regular):
-        sta = Station(f"r{i}", "regular", cfg.regular, cfg.phy, engine, medium,
-                      RngStream(cfg.seed, f"r{i}:backoff"), collector, tracer,
-                      reacts_to_tone=proposed)
+        sta = Station(f"r{i}", "regular", cfg.regular, cfg.phy, medium,
+                      RngStream(cfg.seed, f"r{i}:backoff"), reacts_to_tone=proposed)
         stations.append(sta)
         sources.append(SaturatedSource(sta))
     for j in range(cfg.m_urllc):
         sta_cls = UrllcStation if proposed else Station
-        sta = sta_cls(f"u{j}", "urllc", cfg.urllc, cfg.phy, engine, medium,
-                      RngStream(cfg.seed, f"u{j}:backoff"), collector, tracer)
+        sta = sta_cls(f"u{j}", "urllc", cfg.urllc, cfg.phy, medium,
+                      RngStream(cfg.seed, f"u{j}:backoff"))
         stations.append(sta)
         sources.append(ExpAfterSuccessSource(sta, cfg.urllc_mean_interarrival,
                                              RngStream(cfg.seed, f"u{j}:arrival")))

@@ -29,8 +29,7 @@ class _Source:
 
     def _arrive(self) -> None:
         sta = self.station
-        frame = Frame(f"{sta.sta_id}:{self._n}", sta.sta_id,
-                      f"{sta.traffic_class}-data", sta.engine.now)
+        frame = Frame(f"{sta.sta_id}:{self._n}", sta.engine.now)
         self._n += 1
         sta.enqueue(frame)
 

@@ -48,25 +48,22 @@ class Bench:
         self._frame_n = 0
 
     def add_regular(self, sta_id, draws=(), reacts_to_tone=True, params=REGULAR):
-        sta = Station(sta_id, "regular", params, PHY, self.engine, self.medium,
-                      ScriptedRng(draws), self.collector, self.tracer,
-                      reacts_to_tone=reacts_to_tone)
+        sta = Station(sta_id, "regular", params, PHY, self.medium,
+                      ScriptedRng(draws), reacts_to_tone=reacts_to_tone)
         self.stations[sta_id] = sta
         self.medium.listeners.append(sta)
         return sta
 
     def add_urllc(self, sta_id, draws=(), params=URLLC):
-        sta = UrllcStation(sta_id, "urllc", params, PHY, self.engine,
-                           self.medium, ScriptedRng(draws), self.collector,
-                           self.tracer)
+        sta = UrllcStation(sta_id, "urllc", params, PHY, self.medium,
+                           ScriptedRng(draws))
         self.stations[sta_id] = sta
         self.medium.listeners.append(sta)
         return sta
 
     def add_legacy_urllc(self, sta_id, draws=(), params=URLLC):
-        sta = Station(sta_id, "urllc", params, PHY, self.engine, self.medium,
-                      ScriptedRng(draws), self.collector, self.tracer,
-                      reacts_to_tone=False)
+        sta = Station(sta_id, "urllc", params, PHY, self.medium,
+                      ScriptedRng(draws), reacts_to_tone=False)
         self.stations[sta_id] = sta
         self.medium.listeners.append(sta)
         return sta
@@ -75,9 +72,7 @@ class Bench:
         self._frame_n += 1
         fid = f"{sta.sta_id}:{self._frame_n}"
         self.engine.schedule(
-            t, lambda: sta.enqueue(Frame(fid, sta.sta_id,
-                                         f"{sta.traffic_class}-data",
-                                         sta.engine.now)))
+            t, lambda: sta.enqueue(Frame(fid, sta.engine.now)))
         return fid
 
     def run(self, until=None):

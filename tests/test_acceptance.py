@@ -142,7 +142,7 @@ def test_criterion_6_trace_invariants(proposed_m_sweep, traced_grid):
                             f"({frac} vs {res.summary.channel_busy_fraction})")
         replayed = replay_csv_row(res.trace_lines, scheme, m, cfg.n_regular, 1,
                                   cfg.sim_duration, cfg.warmup,
-                                  cfg.regular_payload_bits)
+                                  cfg.regular.payload_bits)
         if replayed != summary_row(res.summary):
             problems.append(f"{scheme}/M={m}: trace replay disagrees with the "
                             f"summary row")

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from btwifi.cli import main
@@ -14,7 +17,7 @@ def test_empty_file_yields_full_defaults():
     assert cfg.sim_duration == 100_000_000
     assert cfg.warmup == 1_000_000
     assert cfg.urllc_mean_interarrival == 10_000
-    assert cfg.regular_data_airtime == 2000
+    assert cfg.regular.data_airtime == 2000
 
 
 def test_full_file_round_trip():
@@ -45,8 +48,8 @@ def test_full_file_round_trip():
     assert cfg.schemes == ("proposed",)
     assert cfg.seeds == (7,)
     assert cfg.detection_delay == 2
-    assert cfg.regular_cw_min == 31
-    assert cfg.regular_data_airtime == 1500
+    assert cfg.regular.cw_min == 31
+    assert cfg.regular.data_airtime == 1500
     assert cfg.urllc_mean_interarrival == 5000
 
 
@@ -67,6 +70,10 @@ def test_all_problems_reported_at_once_with_line_numbers():
         "cw_min = 6",              # not 2^k - 1
         "[run]",
         "trace = on",              # line 9: traces come from --trace-dir only
+        "n_regular = 4",           # line 10: set on line 2, though unparsable
+        "[urllc]",
+        "cw_min = 7",              # line 12: already set on line 7
+        "payload_bits = 1600",     # line 13: only regular payload is counted
     ])
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
@@ -76,6 +83,9 @@ def test_all_problems_reported_at_once_with_line_numbers():
     assert "line 2" in msg and "line 3" in msg and "line 4" in msg
     assert "2^k - 1" in msg
     assert "line 9: unknown key 'trace'" in msg
+    assert "line 10: key 'n_regular' in [run] already set on line 2" in msg
+    assert "line 12: key 'cw_min' in [urllc] already set on line 7" in msg
+    assert "line 13: unknown key 'payload_bits'" in msg
 
 
 def test_repeated_grid_entries_are_rejected_with_line_numbers(tmp_path):
@@ -90,6 +100,14 @@ def test_repeated_grid_entries_are_rejected_with_line_numbers(tmp_path):
     cfg_file.write_text(text, encoding="utf-8")
     assert main(["--config", str(cfg_file), "--out", str(tmp_path / "o.csv")]) == 1
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_shipped_scenario_files_parse():
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    full = (scenarios / "full_sweep.cfg").read_text(encoding="utf-8")
+    assert parse_config(full) == ScenarioConfig()
+    quick = (scenarios / "quick_look.cfg").read_text(encoding="utf-8")
+    assert parse_config(quick).m_list == (1, 10, 25)
 
 
 def test_m_zero_with_both_schemes_is_legal():
@@ -114,14 +132,18 @@ def test_warmup_must_precede_duration():
 
 
 def test_cw_shape_validation():
-    assert validate(ScenarioConfig(regular_cw_min=15)) == []
-    assert any("2^k" in p for p in validate(ScenarioConfig(regular_cw_min=10)))
+    d = ScenarioConfig()
+    assert validate(replace(d, regular=replace(d.regular, cw_min=15))) == []
+    assert any("2^k" in p
+               for p in validate(replace(d, regular=replace(d.regular, cw_min=10))))
     assert any("cw_min must be <=" in p
-               for p in validate(ScenarioConfig(urllc_cw_min=15, urllc_cw_max=7)))
+               for p in validate(replace(d, urllc=replace(d.urllc, cw_min=15, cw_max=7))))
 
 
 def test_aifsn_lower_bound():
-    assert any("aifsn" in p for p in validate(ScenarioConfig(regular_aifsn=1)))
+    d = ScenarioConfig()
+    assert any("aifsn" in p
+               for p in validate(replace(d, regular=replace(d.regular, aifsn=1))))
 
 
 def test_run_config_carries_parameters_through():

@@ -5,8 +5,8 @@ from btwifi.mac import Frame
 from btwifi.metrics import MetricsCollector, nearest_rank
 
 
-def make_frame(arrival, delivery, sta="u0", kind="urllc-data"):
-    f = Frame(f"{sta}:x", sta, kind, arrival)
+def make_frame(arrival, delivery, sta="u0"):
+    f = Frame(f"{sta}:x", arrival)
     f.delivery_time = delivery
     return f
 
@@ -58,8 +58,7 @@ def test_throughput_counts_bits_delivered_inside_window():
     col = MetricsCollector(warmup=1_000_000, duration=2_000_000)
     for t, bits in ((999_999, 1000), (1_000_000, 2000), (1_999_999, 4000)):
         col.on_arrival("regular")
-        col.on_delivered("regular", "r0", make_frame(0, t, "r0", "regular-data"),
-                         bits)
+        col.on_delivered("regular", "r0", make_frame(0, t, "r0"), bits)
     s = col.finalize("legacy", 0, 1, 1, {"regular": 0, "urllc": 0})
     # 6000 bits in a 1 s window
     assert s.regular_throughput_bps == pytest.approx(6000.0)
@@ -101,7 +100,6 @@ def test_per_station_counts_sum_to_global():
     for i in range(7):
         sta = f"r{i % 3}"
         col.on_arrival("regular")
-        col.on_delivered("regular", sta, make_frame(0, 10 + i, sta,
-                                                    "regular-data"), 10)
+        col.on_delivered("regular", sta, make_frame(0, 10 + i, sta), 10)
     s = col.finalize("legacy", 0, 3, 1, {"regular": 0, "urllc": 0})
     assert sum(col.per_sta_delivered.values()) == s.regular_delivered == 7

@@ -101,7 +101,7 @@ def test_replay_reproduces_the_csv_row():
         res = traced_run(scheme, m, seed=4)
         row = replay_csv_row(res.trace_lines, scheme, m, CFG.n_regular, 4,
                              CFG.sim_duration, CFG.warmup,
-                             CFG.regular_payload_bits)
+                             CFG.regular.payload_bits)
         assert row == summary_row(res.summary)
 
 
