@@ -6,7 +6,8 @@
 
 --scheme/--m/--seed restrict the grid so any single CSV row can be
 reproduced in isolation.  Exit codes: 0 success, 1 configuration or output
-error, 2 runtime contract violation inside a run.
+error (including an unusable --trace-dir), 2 a run failed; stderr names its
+grid point.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigError, ScenarioConfig, parse_config, validate
-from .engine import ContractViolation
 from .sweep import SweepError, run_sweep, write_curve_files, write_summary_csv
 
 
@@ -76,17 +76,15 @@ def main(argv=None) -> int:
         print("simulate: --jobs must be >= 1", file=sys.stderr)
         return 1
     try:
+        # run_sweep raises OSError only for the trace directory or files:
+        # a failure inside a run comes out as SweepError.
         summaries = run_sweep(cfg, jobs=args.jobs, trace_dir=args.trace_dir)
-    except SweepError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 2
-    except ContractViolation as exc:
-        print(f"simulate: contract violation: {exc}", file=sys.stderr)
-        return 2
-    try:
         write_summary_csv(summaries, args.out)
         if args.curves_dir is not None:
             write_curve_files(summaries, args.curves_dir)
+    except SweepError as exc:
+        print(f"simulate: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"simulate: cannot write output: {exc}", file=sys.stderr)
         return 1

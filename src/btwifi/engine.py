@@ -27,11 +27,13 @@ class ContractViolation(RuntimeError):
 
 @dataclass(slots=True)
 class Event:
-    """A scheduled callback; the queue orders events by (fire_at, insertion)."""
+    """A scheduled callback; the queue orders events by (fire_at, insertion).
+
+    fn is None once the event has fired or been cancelled.
+    """
 
     fire_at: SimTime
-    fn: Callable[[], None] = field(repr=False)
-    cancelled: bool = False
+    fn: Optional[Callable[[], None]] = field(repr=False)
 
 
 class Engine:
@@ -59,9 +61,9 @@ class Engine:
 
     def cancel(self, ev: Optional[Event]) -> bool:
         """Suppress a pending event.  False if already fired or cancelled."""
-        if ev is None or ev.cancelled or ev.fn is None:
+        if ev is None or ev.fn is None:
             return False
-        ev.cancelled = True
+        ev.fn = None
         return True
 
     def run_until(self, t_end: SimTime) -> int:
@@ -72,10 +74,10 @@ class Engine:
         n = 0
         while heap and heap[0][0] <= t_end:
             fire_at, _, ev = heapq.heappop(heap)
-            if ev.cancelled:
+            fn = ev.fn
+            if fn is None:  # cancelled
                 continue
             self.now = fire_at
-            fn = ev.fn
             ev.fn = None  # mark fired; also drops the closure reference
             fn()
             n += 1
@@ -84,7 +86,7 @@ class Engine:
         return n
 
     def pending(self) -> int:
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled and ev.fn is not None)
+        return sum(1 for _, _, ev in self._heap if ev.fn is not None)
 
 
 class RngStream:

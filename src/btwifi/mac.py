@@ -7,8 +7,10 @@ Timing model (integer microseconds):
   ``idle_from + AIFS + counter * slot`` as soon as the main channel is
   idle; the backoff counter decrements at each slot boundary after the
   AIFS, and the frame goes on air at the boundary where it reaches 0.
-* When the channel turns busy the pending transmission is cancelled and
-  the counter keeps only the decrements for fully elapsed idle slots
+* The armed event is the only record of counting progress: its fire_at
+  is where the counter reaches 0.  When the channel turns busy at t the
+  event is cancelled and the counter becomes the slots still left between
+  t and fire_at, rounded up: a partially elapsed slot is not spent
   (freeze/resume).  A busy edge landing exactly on the boundary where the
   counter hits 0 does NOT cancel the transmission: the preceding slot was
   idle, so the station transmits and the overlap becomes a collision.
@@ -19,8 +21,12 @@ Timing model (integer microseconds):
   the retry limit are dropped.
 
 Stations that obey the tone channel (regular stations when the priority
-scheme is enabled) additionally abort an ongoing transmission the moment
-the tone is detected and suspend counting for the whole tone duration.
+scheme is enabled; the run wires them into ``Medium.tone_listeners``, so
+only they hear tone edges) additionally abort an ongoing transmission the
+moment the tone is detected and suspend counting for the whole tone
+duration.  A low-latency station taking the no-backoff path of the tone
+scheme is in the FAST state until its data goes on air; FAST is not WAIT,
+so main-channel edges never arm it.
 A tone-triggered abort is not treated as a collision: the retry count and
 contention window stay unchanged and the frame simply re-contends once
 the suspension ends.
@@ -36,6 +42,7 @@ from .medium import ABORTED, CLEAN, COLLIDED, Medium, Transmission
 
 IDLE = "idle"
 WAIT = "wait"  # deferring or counting backoff
+FAST = "fast"  # tone scheme: data goes on air AIFS after the tone onset
 TX = "transmitting"
 AWAIT_ACK = "await_ack"
 
@@ -73,8 +80,7 @@ class Station:
     """One EDCA transmitter with a single-frame buffer."""
 
     def __init__(self, sta_id: str, traffic_class: str, params: EdcaParams,
-                 phy: PhyConstants, medium: Medium, rng: RngStream,
-                 reacts_to_tone: bool = False) -> None:
+                 phy: PhyConstants, medium: Medium, rng: RngStream) -> None:
         self.sta_id = sta_id
         self.traffic_class = traffic_class  # "regular" | "urllc"
         self.params = params
@@ -84,7 +90,6 @@ class Station:
         self.rng = rng
         self.collector = medium.collector
         self.tracer = medium.tracer
-        self.reacts_to_tone = reacts_to_tone
         self.source = None  # set after construction
 
         self.aifs_us = aifs(params, phy)
@@ -94,9 +99,7 @@ class Station:
         self.retry_count = 0
         self.cw_current = params.cw_min
         self.suspended = False
-        self._anchor: Optional[SimTime] = None  # time counting (re)started from
         self._arm_ev: Optional[Event] = None
-        self._fast_ev: Optional[Event] = None  # used by the tone-scheme subclass
         self._timeout_ev: Optional[Event] = None
         self._cur_tx: Optional[Transmission] = None
 
@@ -109,8 +112,7 @@ class Station:
         self.retry_count = 0
         self.cw_current = self.params.cw_min
         self.state = WAIT
-        if self.collector is not None:
-            self.collector.on_arrival(self.traffic_class)
+        self.collector.on_arrival(self.traffic_class)
         if self.tracer is not None:
             self.tracer.arrival(self.engine.now, self.sta_id, frame.frame_id,
                                 self.traffic_class)
@@ -125,58 +127,47 @@ class Station:
     def _try_arm(self) -> None:
         """(Re)start counting if the frame may contend right now."""
         if (self.state != WAIT or self.suspended or self._arm_ev is not None
-                or self._fast_ev is not None or self.medium.is_main_busy()):
+                or self.medium.is_main_busy()):
             return
-        now = self.engine.now
-        self._anchor = now + self.aifs_us
         self._arm_ev = self.engine.schedule(
-            self._anchor + self.counter * self.phy.slot_time, self._fire_tx)
+            self.engine.now + self.aifs_us + self.counter * self.phy.slot_time,
+            self._fire_tx)
 
-    def _apply_decrements(self, t: SimTime) -> None:
-        if self._anchor is not None:
-            elapsed = t - self._anchor
-            if elapsed > 0:
-                n = elapsed // self.phy.slot_time
-                self.counter -= n if n < self.counter else self.counter
-            self._anchor = None
+    def _freeze(self, ev: Event, t: SimTime) -> None:
+        """Cancel the armed transmission at t; keep the slots still left."""
+        ev.fn = None  # inline Engine.cancel: this runs on every busy edge
+        self._arm_ev = None
+        left = (ev.fire_at - t + self.phy.slot_time - 1) // self.phy.slot_time
+        if left < self.counter:
+            self.counter = left
 
     def on_main_busy(self, t: SimTime) -> None:
         ev = self._arm_ev
         if ev is not None and ev.fire_at > t:
             # Freeze: a boundary landing exactly at t stays armed and
             # transmits into the collision.
-            ev.cancelled = True
-            self._arm_ev = None
-            self._apply_decrements(t)
+            self._freeze(ev, t)
 
     def on_main_idle(self, t: SimTime) -> None:
         # Hot path (called on every busy->idle edge): inlined _try_arm minus
         # the medium-idle check, which the transition itself guarantees.
-        if (self.state == WAIT and not self.suspended and self._arm_ev is None
-                and self._fast_ev is None):
-            self._anchor = t + self.aifs_us
+        if self.state == WAIT and not self.suspended and self._arm_ev is None:
             self._arm_ev = self.engine.schedule(
-                self._anchor + self.counter * self.phy.slot_time, self._fire_tx)
+                t + self.aifs_us + self.counter * self.phy.slot_time, self._fire_tx)
 
     # -- tone channel ---------------------------------------------------------
 
     def on_control_busy(self, t: SimTime) -> None:
-        if not self.reacts_to_tone:
-            return
         self.suspended = True
         ev = self._arm_ev
         if ev is not None:
             # Unlike a main-channel busy edge, a tone heard on the boundary
             # itself stops the station before it starts transmitting.
-            self.engine.cancel(ev)
-            self._arm_ev = None
-            self._apply_decrements(t)
+            self._freeze(ev, t)
         if self.state == TX:
             self.medium.abort_transmission(self._cur_tx, t)
 
     def on_control_idle(self, t: SimTime) -> None:
-        if not self.reacts_to_tone:
-            return
         self.suspended = False
         self._try_arm()
 
@@ -184,7 +175,6 @@ class Station:
 
     def _fire_tx(self) -> None:
         self._arm_ev = None
-        self._anchor = None
         self.counter = 0
         self._begin_data_tx()
 
@@ -206,13 +196,11 @@ class Station:
             self.engine.schedule(self.engine.now + self.phy.sifs, self._start_ack)
         elif outcome == COLLIDED:
             self.state = AWAIT_ACK  # no ack will come; the timeout handles it
-            if self.collector is not None:
-                self.collector.on_collided(self.traffic_class)
+            self.collector.on_collided(self.traffic_class)
         else:  # ABORTED: the tone preempted us mid-frame
             self.engine.cancel(self._timeout_ev)
             self._timeout_ev = None
-            if self.collector is not None:
-                self.collector.on_preempted()
+            self.collector.on_preempted()
             if self.tracer is not None:
                 self.tracer.preempted(self.engine.now, self.sta_id, self.head.frame_id)
             # Re-contend from scratch after the suspension: fresh draw, but
@@ -243,8 +231,7 @@ class Station:
             frame = self.head
             self.head = None
             self.state = IDLE
-            if self.collector is not None:
-                self.collector.on_dropped(self.traffic_class)
+            self.collector.on_dropped(self.traffic_class)
             if self.tracer is not None:
                 self.tracer.dropped(self.engine.now, self.sta_id, frame.frame_id)
             self._after_service(frame, "dropped")
@@ -263,9 +250,8 @@ class Station:
         self.state = IDLE
         self.retry_count = 0
         self.cw_current = self.params.cw_min
-        if self.collector is not None:
-            self.collector.on_delivered(self.traffic_class, self.sta_id, frame,
-                                        self.params.payload_bits)
+        self.collector.on_delivered(self.traffic_class, self.sta_id, frame,
+                                    self.params.payload_bits)
         if self.tracer is not None:
             self.tracer.delivered(now, self.sta_id, frame.frame_id,
                                   now - frame.arrival_time)

@@ -8,8 +8,9 @@ overlap purposes - the energy was on air.
 
 Tone channel model: a set of stations may assert a continuous tone;
 listeners only see busy/idle, so overlapping tones are indistinguishable
-from a single one.  Both channels broadcast their busy/idle transitions to
-every station (single broadcast domain, no hidden stations).
+from a single one.  Single broadcast domain, no hidden stations: main-channel
+transitions reach every station, tone transitions reach every station that
+obeys the tone.
 """
 
 from __future__ import annotations
@@ -37,17 +38,21 @@ class Transmission:
 class Medium:
     """Owns both channels; mutated only from its run's event loop.
 
-    listeners is the fixed, ordered list of stations; broadcasts iterate it
-    in order so runs are reproducible.
+    listeners is the fixed, ordered list of stations told about main-channel
+    busy/idle edges; tone_listeners lists, in the same order, the stations
+    that obey the tone (the regular stations when the priority scheme is
+    on) and are told about its edges.  Broadcasts iterate them in order so
+    runs are reproducible.
     """
 
-    def __init__(self, engine: Engine, detection_delay: SimTime = 0,
-                 collector=None, tracer=None) -> None:
+    def __init__(self, engine: Engine, detection_delay: SimTime, collector,
+                 tracer=None) -> None:
         self.engine = engine
         self.detection_delay = detection_delay
         self.collector = collector
         self.tracer = tracer
         self.listeners: list = []
+        self.tone_listeners: list = []
         self._active: dict[int, Transmission] = {}
         self._next_tx_id = 0
         self._tones: dict[str, SimTime] = {}  # sta -> assertion time
@@ -75,8 +80,7 @@ class Medium:
         if self.tracer is not None:
             self.tracer.tx_start(now, sta, tx.tx_id, ftype, duration, frame_id)
         if was_idle:
-            if self.collector is not None:
-                self.collector.on_main_busy(now)
+            self.collector.on_main_busy(now)
             for sta_obj in self.listeners:
                 sta_obj.on_main_busy(now)
         return tx
@@ -99,8 +103,7 @@ class Medium:
         if self.tracer is not None:
             self.tracer.tx_end(now, tx.tx_id, outcome)
         if not self._active:
-            if self.collector is not None:
-                self.collector.on_main_idle(now)
+            self.collector.on_main_idle(now)
             for sta_obj in self.listeners:
                 sta_obj.on_main_idle(now)
         tx.on_end(outcome)
@@ -150,8 +153,8 @@ class Medium:
     def _deliver_control(self, busy: bool) -> None:
         now = self.engine.now
         if busy:
-            for sta_obj in self.listeners:
+            for sta_obj in self.tone_listeners:
                 sta_obj.on_control_busy(now)
         else:
-            for sta_obj in self.listeners:
+            for sta_obj in self.tone_listeners:
                 sta_obj.on_control_idle(now)

@@ -59,7 +59,7 @@ def run_single(cfg: RunConfig) -> RunResult:
     sources = []
     for i in range(cfg.n_regular):
         sta = Station(f"r{i}", "regular", cfg.regular, cfg.phy, medium,
-                      RngStream(cfg.seed, f"r{i}:backoff"), reacts_to_tone=proposed)
+                      RngStream(cfg.seed, f"r{i}:backoff"))
         stations.append(sta)
         sources.append(SaturatedSource(sta))
     for j in range(cfg.m_urllc):
@@ -70,6 +70,8 @@ def run_single(cfg: RunConfig) -> RunResult:
         sources.append(ExpAfterSuccessSource(sta, cfg.urllc_mean_interarrival,
                                              RngStream(cfg.seed, f"u{j}:arrival")))
     medium.listeners = stations
+    if proposed:  # the priority scheme: regular stations obey the tone
+        medium.tone_listeners = stations[:cfg.n_regular]
     for src in sources:
         src.start(engine)
 

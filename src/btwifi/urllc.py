@@ -22,19 +22,16 @@ resolved by ordinary EDCA retries while both tones stay up.
 
 from __future__ import annotations
 
-from .mac import Frame, Station
+from .mac import FAST, Frame, Station
 
 
 class UrllcStation(Station):
     """Station running the tone scheme for its own traffic.
 
-    Never suspended by tones (reacts_to_tone stays False); collisions
-    inside the low-latency class are handled by the inherited EDCA retry.
+    Never suspended by tones (the run does not make it a tone listener);
+    collisions inside the low-latency class are handled by the inherited
+    EDCA retry.
     """
-
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs["reacts_to_tone"] = False
-        super().__init__(*args, **kwargs)
 
     def _after_enqueue(self, frame: Frame) -> None:
         now = self.engine.now
@@ -43,20 +40,16 @@ class UrllcStation(Station):
             # Sole tone holder: data goes on air AIFS after the tone onset,
             # no backoff draw at all, independent of main-channel history.
             self.counter = 0
-            self._fast_ev = self.engine.schedule(now + self.aifs_us, self._fire_fast)
+            self.state = FAST
+            self.engine.schedule(now + self.aifs_us, self._begin_data_tx)
         else:
             self.counter = self.rng.uniform_int(0, self.cw_current)
         if self.tracer is not None:
             self.tracer.tone_on(now, self.sta_id, fast)
         # Asserting may preempt a regular transmitter and cascade busy/idle
-        # notifications; the fast event is already up so _try_arm stays out.
+        # notifications; a FAST station is not armed by them.
         self.medium.busy_tone_set(self.sta_id, True)
-        if not fast:
-            self._try_arm()
-
-    def _fire_fast(self) -> None:
-        self._fast_ev = None
-        self._begin_data_tx()
+        self._try_arm()
 
     def _after_service(self, frame: Frame, outcome: str) -> None:
         now = self.engine.now

@@ -49,9 +49,11 @@ class Bench:
 
     def add_regular(self, sta_id, draws=(), reacts_to_tone=True, params=REGULAR):
         sta = Station(sta_id, "regular", params, PHY, self.medium,
-                      ScriptedRng(draws), reacts_to_tone=reacts_to_tone)
+                      ScriptedRng(draws))
         self.stations[sta_id] = sta
         self.medium.listeners.append(sta)
+        if reacts_to_tone:
+            self.medium.tone_listeners.append(sta)
         return sta
 
     def add_urllc(self, sta_id, draws=(), params=URLLC):
@@ -63,7 +65,7 @@ class Bench:
 
     def add_legacy_urllc(self, sta_id, draws=(), params=URLLC):
         sta = Station(sta_id, "urllc", params, PHY, self.medium,
-                      ScriptedRng(draws), reacts_to_tone=False)
+                      ScriptedRng(draws))
         self.stations[sta_id] = sta
         self.medium.listeners.append(sta)
         return sta

@@ -65,6 +65,18 @@ def test_freeze_keeps_only_whole_elapsed_slots():
     # winner at 43+18=61, exchange ends 2121; loser at 2121+43+27.
     assert starts == {"r1": 61, "r0": 2191}
 
+    # Draw 5 vs a foreign burst [65, 165) that lands 4 us into the third
+    # slot: the partial slot is not spent, so the counter is 3, not 2.
+    b = Bench()
+    a = b.add_regular("r0", draws=[5])
+    b.enqueue_at(0, a)
+    b.engine.schedule(65, lambda: b.medium.begin_transmission(
+        "x", "regular-data", 100, lambda o: None))
+    b.run(3000)
+    starts = {e["sta"]: e["t"] for e in b.events("tx_start") if e["sta"] != "ap"}
+    # resumes at 165: 165+43+27 (a spent partial slot would give 226).
+    assert starts == {"x": 65, "r0": 235}
+
 
 def test_idle_gap_shorter_than_aifs_never_decrements():
     b = Bench()

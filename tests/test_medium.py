@@ -2,6 +2,7 @@ import pytest
 
 from btwifi.engine import ContractViolation, Engine
 from btwifi.medium import ABORTED, CLEAN, COLLIDED, Medium
+from btwifi.metrics import MetricsCollector
 
 
 class Sink:
@@ -25,9 +26,10 @@ class Sink:
 
 def make_medium(detection_delay=0):
     eng = Engine()
-    med = Medium(eng, detection_delay)
+    med = Medium(eng, detection_delay, MetricsCollector(0, 10_000_000))
     sink = Sink()
     med.listeners.append(sink)
+    med.tone_listeners.append(sink)
     return eng, med, sink
 
 

@@ -77,7 +77,7 @@ def test_failed_run_in_worker_pool_reports_its_point():
     assert exc.value.point == ("bogus", 1, 1) or exc.value.point == ("bogus", 1, 2)
 
 
-def test_cli_maps_run_failure_to_exit_2(monkeypatch, tmp_path):
+def test_cli_maps_run_failure_to_exit_2(monkeypatch, tmp_path, capsys):
     import btwifi.sweep as sweep_mod
     from btwifi.cli import main
 
@@ -88,6 +88,8 @@ def test_cli_maps_run_failure_to_exit_2(monkeypatch, tmp_path):
     rc = main(["--scheme", "legacy", "--m", "1", "--seed", "1",
                "--out", str(tmp_path / "o.csv")])
     assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "simulate: run (scheme=legacy, M=1, seed=1) failed: synthetic failure"]
 
 
 def test_csv_parses_with_standard_reader():

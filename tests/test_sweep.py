@@ -5,7 +5,7 @@ from btwifi.cli import main
 from btwifi.config import ScenarioConfig
 from btwifi.simulation import run_single
 from btwifi.sweep import (CSV_HEADER, expand_grid, render_csv, run_sweep,
-                          summary_row)
+                          summary_row, trace_filename)
 
 QUICK = ScenarioConfig(n_regular=2, m_list=(0, 1), schemes=("legacy", "proposed"),
                        seeds=(1, 2), sim_duration=1_000_000, warmup=100_000)
@@ -174,6 +174,26 @@ def test_cli_unwritable_output_exits_1(tmp_path):
     rc = main(["--config", str(cfg_file),
                "--out", str(tmp_path / "no" / "such" / "dir" / "o.csv")])
     assert rc == 1
+
+
+def test_cli_unusable_trace_dir_exits_1(tmp_path, capsys):
+    # A regular file as the directory, and a directory where a trace file
+    # must go: both fail even for root, and neither may leave a summary.
+    cfg_file = tmp_path / "scenario.cfg"
+    write_quick_cfg(cfg_file)
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    blocked = tmp_path / "traces"
+    (blocked / trace_filename("proposed", 2, 1, 1)).mkdir(parents=True)
+    for trace_dir in (not_a_dir, blocked):
+        out = tmp_path / "o.csv"
+        rc = main(["--config", str(cfg_file), "--out", str(out),
+                   "--trace-dir", str(trace_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("simulate: cannot write output: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def test_cli_writes_traces_when_asked(tmp_path):
