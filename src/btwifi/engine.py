@@ -5,16 +5,16 @@ duration used by the MAC (slot, SIFS, AIFS, airtimes) is an exact integer
 number of microseconds, so there is no floating-point time anywhere in the
 event loop and two runs with the same seed produce byte-identical traces.
 
-Events with equal fire time dispatch in insertion order.  That tie-break is
-purely for reproducibility: nothing physical may depend on it (the medium
-decides collisions from interval overlap, not from dispatch order).
+Events with equal fire time dispatch in insertion order.  Collisions are
+decided by interval overlap in any order, but a regular station's backoff
+expiry and a tone onset in the same microsecond freeze the station or
+preempt a zero-length transmission, whichever was scheduled first.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 # Base time unit: 1 microsecond.
@@ -25,28 +25,20 @@ class ContractViolation(RuntimeError):
     """An internal precondition was broken; the run cannot continue."""
 
 
-@dataclass(slots=True)
-class Event:
-    """A scheduled callback; the queue orders events by (fire_at, insertion).
-
-    fn is None once the event has fired or been cancelled.
-    """
-
-    fire_at: SimTime
-    fn: Optional[Callable[[], None]] = field(repr=False)
-
-
 class Engine:
-    """Single-run event loop.  Not shared between runs, never thread-safe."""
+    """Single-run event loop.  Not shared between runs, never thread-safe.
+
+    An event is its own [fire_at, seq, fn] heap entry; fn is None once the
+    event has fired or been cancelled.
+    """
 
     def __init__(self) -> None:
         self.now: SimTime = 0
-        self.dispatched = 0
-        self._heap: list[tuple[SimTime, int, Event]] = []
+        self._heap: list[list] = []
         self._seq = 0
 
-    def schedule(self, fire_at: SimTime, fn: Callable[[], None]) -> Event:
-        """Schedule fn at fire_at; returns a handle usable with cancel().
+    def schedule(self, fire_at: SimTime, fn: Callable[[], None]) -> list:
+        """Schedule fn at fire_at; returns the event, usable with cancel().
 
         Scheduling in the past is a fatal contract violation.
         """
@@ -54,16 +46,16 @@ class Engine:
             raise ContractViolation(
                 f"schedule at t={fire_at} but clock is at t={self.now} "
                 f"({getattr(fn, '__qualname__', fn)})")
-        ev = Event(fire_at, fn)
-        heapq.heappush(self._heap, (fire_at, self._seq, ev))
+        ev = [fire_at, self._seq, fn]
+        heapq.heappush(self._heap, ev)
         self._seq += 1
         return ev
 
-    def cancel(self, ev: Optional[Event]) -> bool:
+    def cancel(self, ev: Optional[list]) -> bool:
         """Suppress a pending event.  False if already fired or cancelled."""
-        if ev is None or ev.fn is None:
+        if ev is None or ev[2] is None:
             return False
-        ev.fn = None
+        ev[2] = None
         return True
 
     def run_until(self, t_end: SimTime) -> int:
@@ -73,20 +65,19 @@ class Engine:
         heap = self._heap
         n = 0
         while heap and heap[0][0] <= t_end:
-            fire_at, _, ev = heapq.heappop(heap)
-            fn = ev.fn
+            ev = heapq.heappop(heap)
+            fn = ev[2]
             if fn is None:  # cancelled
                 continue
-            self.now = fire_at
-            ev.fn = None  # mark fired; also drops the closure reference
+            self.now = ev[0]
+            ev[2] = None  # mark fired; also drops the closure reference
             fn()
             n += 1
         self.now = t_end
-        self.dispatched += n
         return n
 
     def pending(self) -> int:
-        return sum(1 for _, _, ev in self._heap if ev.fn is not None)
+        return sum(1 for ev in self._heap if ev[2] is not None)
 
 
 class RngStream:

@@ -7,18 +7,19 @@ Timing model (integer microseconds):
   ``idle_from + AIFS + counter * slot`` as soon as the main channel is
   idle; the backoff counter decrements at each slot boundary after the
   AIFS, and the frame goes on air at the boundary where it reaches 0.
-* The armed event is the only record of counting progress: its fire_at
-  is where the counter reaches 0.  When the channel turns busy at t the
-  event is cancelled and the counter becomes the slots still left between
-  t and fire_at, rounded up: a partially elapsed slot is not spent
+* The armed event, an engine heap entry ``[fire_at, seq, fn]``, is the
+  only record of counting progress: fire_at is where the counter reaches
+  0.  When the channel turns busy at t the event is cancelled and the
+  counter becomes the slots still left between t and fire_at, rounded
+  up: a partially elapsed slot is not spent
   (freeze/resume).  A busy edge landing exactly on the boundary where the
   counter hits 0 does NOT cancel the transmission: the preceding slot was
   idle, so the station transmits and the overlap becomes a collision.
 * After a clean data frame the responder acks SIFS later; the sender's
   ack timeout sits one guard interval after the expected ack end.
-* Failed attempts double the contention window as
-  cw = min((cw_min+1) * 2^retry - 1, cw_max) and redraw; frames exceeding
-  the retry limit are dropped.
+* Every backoff draw is uniform on [0, cw] with
+  cw = min((cw_min+1) * 2^retry - 1, cw_max), so failed attempts double
+  the contention window; frames exceeding the retry limit are dropped.
 
 Stations that obey the tone channel (regular stations when the priority
 scheme is enabled; the run wires them into ``Medium.tone_listeners``, so
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import ContractViolation, Event, RngStream, SimTime
+from .engine import ContractViolation, RngStream, SimTime
 from .medium import ABORTED, CLEAN, COLLIDED, Medium, Transmission
 
 IDLE = "idle"
@@ -73,7 +74,6 @@ def aifs(params: EdcaParams, phy: PhyConstants) -> SimTime:
 class Frame:
     frame_id: str
     arrival_time: SimTime
-    delivery_time: Optional[SimTime] = None
 
 
 class Station:
@@ -89,7 +89,6 @@ class Station:
         self.medium = medium
         self.rng = rng
         self.collector = medium.collector
-        self.tracer = medium.tracer
         self.source = None  # set after construction
 
         self.aifs_us = aifs(params, phy)
@@ -97,10 +96,9 @@ class Station:
         self.head: Optional[Frame] = None
         self.counter = 0
         self.retry_count = 0
-        self.cw_current = params.cw_min
         self.suspended = False
-        self._arm_ev: Optional[Event] = None
-        self._timeout_ev: Optional[Event] = None
+        self._arm_ev: Optional[list] = None
+        self._timeout_ev: Optional[list] = None
         self._cur_tx: Optional[Transmission] = None
 
     # -- frame intake -------------------------------------------------------
@@ -110,19 +108,21 @@ class Station:
             raise ContractViolation(f"{self.sta_id}: head frame overwritten")
         self.head = frame
         self.retry_count = 0
-        self.cw_current = self.params.cw_min
         self.state = WAIT
-        self.collector.on_arrival(self.traffic_class)
-        if self.tracer is not None:
-            self.tracer.arrival(self.engine.now, self.sta_id, frame.frame_id,
-                                self.traffic_class)
+        self.collector.on_arrival(self.engine.now, self.sta_id,
+                                  self.traffic_class, frame)
         self._after_enqueue(frame)
 
     def _after_enqueue(self, frame: Frame) -> None:
-        self.counter = self.rng.uniform_int(0, self.cw_current)
+        self._draw_backoff()
         self._try_arm()
 
     # -- backoff / deferral --------------------------------------------------
+
+    def _draw_backoff(self) -> None:
+        p = self.params
+        cw = min((p.cw_min + 1) * (1 << self.retry_count) - 1, p.cw_max)
+        self.counter = self.rng.uniform_int(0, cw)
 
     def _try_arm(self) -> None:
         """(Re)start counting if the frame may contend right now."""
@@ -133,17 +133,17 @@ class Station:
             self.engine.now + self.aifs_us + self.counter * self.phy.slot_time,
             self._fire_tx)
 
-    def _freeze(self, ev: Event, t: SimTime) -> None:
+    def _freeze(self, ev: list, t: SimTime) -> None:
         """Cancel the armed transmission at t; keep the slots still left."""
-        ev.fn = None  # inline Engine.cancel: this runs on every busy edge
+        ev[2] = None  # inline Engine.cancel: this runs on every busy edge
         self._arm_ev = None
-        left = (ev.fire_at - t + self.phy.slot_time - 1) // self.phy.slot_time
+        left = (ev[0] - t + self.phy.slot_time - 1) // self.phy.slot_time
         if left < self.counter:
             self.counter = left
 
     def on_main_busy(self, t: SimTime) -> None:
         ev = self._arm_ev
-        if ev is not None and ev.fire_at > t:
+        if ev is not None and ev[0] > t:
             # Freeze: a boundary landing exactly at t stays armed and
             # transmits into the collision.
             self._freeze(ev, t)
@@ -196,17 +196,17 @@ class Station:
             self.engine.schedule(self.engine.now + self.phy.sifs, self._start_ack)
         elif outcome == COLLIDED:
             self.state = AWAIT_ACK  # no ack will come; the timeout handles it
-            self.collector.on_collided(self.traffic_class)
+            self.collector.on_collided(self.engine.now, self.sta_id,
+                                       self.traffic_class, self.head)
         else:  # ABORTED: the tone preempted us mid-frame
             self.engine.cancel(self._timeout_ev)
             self._timeout_ev = None
-            self.collector.on_preempted()
-            if self.tracer is not None:
-                self.tracer.preempted(self.engine.now, self.sta_id, self.head.frame_id)
+            self.collector.on_preempted(self.engine.now, self.sta_id,
+                                        self.traffic_class, self.head)
             # Re-contend from scratch after the suspension: fresh draw, but
             # the retry count and contention window are NOT touched - being
             # preempted is not evidence of a collision.
-            self.counter = self.rng.uniform_int(0, self.cw_current)
+            self._draw_backoff()
             self.state = WAIT
             self._try_arm()
 
@@ -231,30 +231,22 @@ class Station:
             frame = self.head
             self.head = None
             self.state = IDLE
-            self.collector.on_dropped(self.traffic_class)
-            if self.tracer is not None:
-                self.tracer.dropped(self.engine.now, self.sta_id, frame.frame_id)
+            self.collector.on_dropped(self.engine.now, self.sta_id,
+                                      self.traffic_class, frame)
             self._after_service(frame, "dropped")
             return
-        p = self.params
-        self.cw_current = min((p.cw_min + 1) * (1 << self.retry_count) - 1, p.cw_max)
-        self.counter = self.rng.uniform_int(0, self.cw_current)
+        self._draw_backoff()
         self.state = WAIT
         self._try_arm()
 
     def _complete_delivered(self) -> None:
-        now = self.engine.now
         frame = self.head
-        frame.delivery_time = now
         self.head = None
         self.state = IDLE
         self.retry_count = 0
-        self.cw_current = self.params.cw_min
-        self.collector.on_delivered(self.traffic_class, self.sta_id, frame,
+        self.collector.on_delivered(self.engine.now, self.sta_id,
+                                    self.traffic_class, frame,
                                     self.params.payload_bits)
-        if self.tracer is not None:
-            self.tracer.delivered(now, self.sta_id, frame.frame_id,
-                                  now - frame.arrival_time)
         self._after_service(frame, "delivered")
 
     def _after_service(self, frame: Frame, outcome: str) -> None:

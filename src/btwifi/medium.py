@@ -16,7 +16,7 @@ obeys the tone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .engine import ContractViolation, Engine, SimTime
 
@@ -30,7 +30,6 @@ class Transmission:
     tx_id: int
     sta: str
     on_end: Callable[[str], None]
-    aborted_at: Optional[SimTime] = None
     dirty: bool = False  # overlapped some other transmission at any point
     _end_ev: object = None
 
@@ -45,12 +44,10 @@ class Medium:
     runs are reproducible.
     """
 
-    def __init__(self, engine: Engine, detection_delay: SimTime, collector,
-                 tracer=None) -> None:
+    def __init__(self, engine: Engine, detection_delay: SimTime, collector) -> None:
         self.engine = engine
         self.detection_delay = detection_delay
         self.collector = collector
-        self.tracer = tracer
         self.listeners: list = []
         self.tone_listeners: list = []
         self._active: dict[int, Transmission] = {}
@@ -77,8 +74,7 @@ class Medium:
                 other.dirty = True
         self._active[tx.tx_id] = tx
         tx._end_ev = self.engine.schedule(now + duration, lambda: self._finish(tx))
-        if self.tracer is not None:
-            self.tracer.tx_start(now, sta, tx.tx_id, ftype, duration, frame_id)
+        self.collector.on_tx_start(now, sta, tx.tx_id, ftype, duration, frame_id)
         if was_idle:
             self.collector.on_main_busy(now)
             for sta_obj in self.listeners:
@@ -91,7 +87,6 @@ class Medium:
         if at != self.engine.now:
             raise ContractViolation("abort must happen at the current instant")
         self.engine.cancel(tx._end_ev)
-        tx.aborted_at = at
         self._remove(tx, ABORTED)
 
     def _finish(self, tx: Transmission) -> None:
@@ -100,8 +95,7 @@ class Medium:
     def _remove(self, tx: Transmission, outcome: str) -> None:
         now = self.engine.now
         del self._active[tx.tx_id]
-        if self.tracer is not None:
-            self.tracer.tx_end(now, tx.tx_id, outcome)
+        self.collector.on_tx_end(now, tx.tx_id, outcome)
         if not self._active:
             self.collector.on_main_idle(now)
             for sta_obj in self.listeners:

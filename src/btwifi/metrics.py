@@ -52,6 +52,13 @@ class RunSummary:
 
 
 class MetricsCollector:
+    """The run's only observer: stations and the medium report each event
+    once through an on_* hook.  Frame hooks get the time, the station id,
+    the traffic class and the Frame.  The transmission and tone hooks
+    measure nothing here; subclasses such as trace.Tracer call each base
+    hook first.
+    """
+
     def __init__(self, warmup: SimTime, duration: SimTime) -> None:
         if not 0 <= warmup < duration:
             raise ValueError("need 0 <= warmup < duration")
@@ -70,26 +77,32 @@ class MetricsCollector:
 
     # -- frame lifecycle ----------------------------------------------------
 
-    def on_arrival(self, cls: str) -> None:
+    def on_arrival(self, t: SimTime, sta: str, cls: str, frame) -> None:
         self.arrivals[cls] += 1
 
-    def on_delivered(self, cls: str, sta: str, frame, payload_bits: int) -> None:
+    def on_delivered(self, t: SimTime, sta: str, cls: str, frame,
+                     payload_bits: int) -> None:
         self.delivered[cls] += 1
         self.per_sta_delivered[sta] = self.per_sta_delivered.get(sta, 0) + 1
         if cls == "urllc":
             if frame.arrival_time >= self.warmup:
-                self.urllc_delays.append(frame.delivery_time - frame.arrival_time)
-        elif frame.delivery_time >= self.warmup:
+                self.urllc_delays.append(t - frame.arrival_time)
+        elif t >= self.warmup:
             self.regular_bits += payload_bits
 
-    def on_dropped(self, cls: str) -> None:
+    def on_dropped(self, t: SimTime, sta: str, cls: str, frame) -> None:
         self.dropped[cls] += 1
 
-    def on_collided(self, cls: str) -> None:
+    def on_collided(self, t: SimTime, sta: str, cls: str, frame) -> None:
         self.collided[cls] += 1
 
-    def on_preempted(self) -> None:
+    def on_preempted(self, t: SimTime, sta: str, cls: str, frame) -> None:
         self.preempted += 1
+
+    def _unmeasured(self, *event) -> None:
+        """Transmission and tone events feed no metric; see trace.Tracer."""
+
+    on_tx_start = on_tx_end = on_tone_on = on_tone_off = _unmeasured
 
     # -- channel occupancy ----------------------------------------------------
 

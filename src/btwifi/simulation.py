@@ -50,9 +50,8 @@ def run_single(cfg: RunConfig) -> RunResult:
     if cfg.scheme not in (LEGACY, PROPOSED):
         raise ValueError(f"unknown scheme {cfg.scheme!r}")
     engine = Engine()
-    tracer = Tracer() if cfg.trace else None
-    collector = MetricsCollector(cfg.warmup, cfg.sim_duration)
-    medium = Medium(engine, cfg.detection_delay, collector, tracer)
+    collector = (Tracer if cfg.trace else MetricsCollector)(cfg.warmup, cfg.sim_duration)
+    medium = Medium(engine, cfg.detection_delay, collector)
 
     proposed = cfg.scheme == PROPOSED
     stations: list[Station] = []
@@ -85,4 +84,4 @@ def run_single(cfg: RunConfig) -> RunResult:
                                  cfg.seed, in_flight)
     return RunResult(summary, collector.urllc_delays,
                      dict(collector.per_sta_delivered),
-                     tracer.lines if tracer is not None else None)
+                     collector.lines if cfg.trace else None)

@@ -9,6 +9,7 @@ before writing.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from multiprocessing import get_context
 from pathlib import Path
@@ -75,12 +76,18 @@ def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
                       trace_path))
     # More workers than points or CPUs would only add interpreter start-ups.
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with get_context("spawn").Pool(workers) as pool:
-            summaries = pool.map(_execute_point, tasks)
-    else:
-        summaries = [_execute_point(t) for t in tasks]
-    return summaries
+    try:
+        if workers > 1:
+            with get_context("spawn").Pool(workers) as pool:
+                return pool.map(_execute_point, tasks)
+        return [_execute_point(t) for t in tasks]
+    except BaseException:
+        # A failed sweep leaves none of its grid's trace files behind.
+        for _, trace_path in tasks:
+            if trace_path is not None:
+                with contextlib.suppress(OSError):
+                    os.remove(trace_path)
+        raise
 
 
 # -- CSV / curve files ------------------------------------------------------

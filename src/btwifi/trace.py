@@ -11,41 +11,53 @@ from __future__ import annotations
 
 import json
 
+from .metrics import MetricsCollector
 
-class Tracer:
-    """Collects trace records as pre-serialized JSONL lines."""
 
-    def __init__(self) -> None:
+class Tracer(MetricsCollector):
+    """A collector that also keeps each event as a pre-serialized JSONL line."""
+
+    def __init__(self, warmup, duration) -> None:
+        super().__init__(warmup, duration)
         self.lines: list[str] = []
 
     def emit(self, record: dict) -> None:
         self.lines.append(json.dumps(record, separators=(",", ":")))
 
-    def arrival(self, t, sta, frame, cls) -> None:
-        self.emit({"t": t, "kind": "arrival", "sta": sta, "frame": frame, "cls": cls})
+    def on_arrival(self, t, sta, cls, frame) -> None:
+        super().on_arrival(t, sta, cls, frame)
+        self.emit({"t": t, "kind": "arrival", "sta": sta, "frame": frame.frame_id,
+                   "cls": cls})
 
-    def tx_start(self, t, sta, tx, ftype, dur, frame=None) -> None:
+    def on_tx_start(self, t, sta, tx, ftype, dur, frame_id) -> None:
+        super().on_tx_start(t, sta, tx, ftype, dur, frame_id)
         rec = {"t": t, "kind": "tx_start", "sta": sta, "tx": tx,
                "ftype": ftype, "dur": dur}
-        if frame is not None:
-            rec["frame"] = frame
+        if frame_id is not None:
+            rec["frame"] = frame_id
         self.emit(rec)
 
-    def tx_end(self, t, tx, outcome) -> None:
+    def on_tx_end(self, t, tx, outcome) -> None:
+        super().on_tx_end(t, tx, outcome)
         self.emit({"t": t, "kind": "tx_end", "tx": tx, "outcome": outcome})
 
-    def tone_on(self, t, sta, fast) -> None:
+    def on_tone_on(self, t, sta, fast) -> None:
+        super().on_tone_on(t, sta, fast)
         self.emit({"t": t, "kind": "tone_on", "sta": sta, "fast": fast})
 
-    def tone_off(self, t, sta, reason) -> None:
+    def on_tone_off(self, t, sta, reason) -> None:
+        super().on_tone_off(t, sta, reason)
         self.emit({"t": t, "kind": "tone_off", "sta": sta, "reason": reason})
 
-    def preempted(self, t, sta, frame) -> None:
-        self.emit({"t": t, "kind": "preempted", "sta": sta, "frame": frame})
+    def on_preempted(self, t, sta, cls, frame) -> None:
+        super().on_preempted(t, sta, cls, frame)
+        self.emit({"t": t, "kind": "preempted", "sta": sta, "frame": frame.frame_id})
 
-    def delivered(self, t, sta, frame, delay) -> None:
-        self.emit({"t": t, "kind": "delivered", "sta": sta, "frame": frame,
-                   "delay": delay})
+    def on_delivered(self, t, sta, cls, frame, payload_bits) -> None:
+        super().on_delivered(t, sta, cls, frame, payload_bits)
+        self.emit({"t": t, "kind": "delivered", "sta": sta, "frame": frame.frame_id,
+                   "delay": t - frame.arrival_time})
 
-    def dropped(self, t, sta, frame) -> None:
-        self.emit({"t": t, "kind": "dropped", "sta": sta, "frame": frame})
+    def on_dropped(self, t, sta, cls, frame) -> None:
+        super().on_dropped(t, sta, cls, frame)
+        self.emit({"t": t, "kind": "dropped", "sta": sta, "frame": frame.frame_id})

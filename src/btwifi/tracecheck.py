@@ -159,40 +159,34 @@ def replay_csv_row(lines: Iterable[str], scheme: str, m: int, n: int, seed: int,
                    duration: int, warmup: int, regular_payload_bits: int) -> str:
     """Recompute a summary CSV row from the trace alone."""
     records = load_records(lines)
-    arrival_t: dict[str, int] = {}
-    arrival_cls: dict[str, str] = {}
+    arrivals: dict[str, tuple[int, str]] = {}  # frame -> (time, class)
     delays = []
     delivered = {"regular": 0, "urllc": 0}
     dropped = {"regular": 0, "urllc": 0}
     collided = {"regular": 0, "urllc": 0}
     preempted = 0
     regular_bits = 0
-    tx_ftype: dict[int, str] = {}
     for rec in records:
         kind = rec["kind"]
         if kind == "arrival":
-            arrival_t[rec["frame"]] = rec["t"]
-            arrival_cls[rec["frame"]] = rec["cls"]
+            arrivals[rec["frame"]] = (rec["t"], rec["cls"])
         elif kind == "delivered":
-            cls = arrival_cls[rec["frame"]]
+            arrived, cls = arrivals[rec["frame"]]
             delivered[cls] += 1
             if cls == "urllc":
-                if arrival_t[rec["frame"]] >= warmup:
-                    delays.append(rec["t"] - arrival_t[rec["frame"]])
+                if arrived >= warmup:
+                    delays.append(rec["t"] - arrived)
             elif rec["t"] >= warmup:
                 regular_bits += regular_payload_bits
         elif kind == "dropped":
-            dropped[arrival_cls[rec["frame"]]] += 1
+            dropped[arrivals[rec["frame"]][1]] += 1
         elif kind == "preempted":
             preempted += 1
-        elif kind == "tx_start":
-            tx_ftype[rec["tx"]] = rec["ftype"]
-        elif kind == "tx_end" and rec["outcome"] == "collided":
-            ftype = tx_ftype[rec["tx"]]
-            if ftype != "ack":
-                collided[ftype.split("-", 1)[0]] += 1
 
     txs = collect_transmissions(records, duration)
+    for tx in txs:
+        if tx.outcome == "collided" and tx.ftype != "ack":
+            collided[tx.ftype.split("-", 1)[0]] += 1
     busy = union_measure([(tx.start, tx.end) for tx in txs], warmup, duration)
     window = duration - warmup
     delays.sort()

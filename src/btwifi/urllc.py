@@ -43,17 +43,14 @@ class UrllcStation(Station):
             self.state = FAST
             self.engine.schedule(now + self.aifs_us, self._begin_data_tx)
         else:
-            self.counter = self.rng.uniform_int(0, self.cw_current)
-        if self.tracer is not None:
-            self.tracer.tone_on(now, self.sta_id, fast)
+            self._draw_backoff()
+        self.collector.on_tone_on(now, self.sta_id, fast)
         # Asserting may preempt a regular transmitter and cascade busy/idle
         # notifications; a FAST station is not armed by them.
         self.medium.busy_tone_set(self.sta_id, True)
         self._try_arm()
 
     def _after_service(self, frame: Frame, outcome: str) -> None:
-        now = self.engine.now
-        if self.tracer is not None:
-            self.tracer.tone_off(now, self.sta_id, outcome)
+        self.collector.on_tone_off(self.engine.now, self.sta_id, outcome)
         self.medium.busy_tone_set(self.sta_id, False)
         super()._after_service(frame, outcome)

@@ -5,7 +5,6 @@ import pytest
 from btwifi.engine import Engine
 from btwifi.mac import EdcaParams, Frame, PhyConstants, Station
 from btwifi.medium import Medium
-from btwifi.metrics import MetricsCollector
 from btwifi.trace import Tracer
 from btwifi.urllc import UrllcStation
 
@@ -40,9 +39,8 @@ class Bench:
 
     def __init__(self, duration=10_000_000, warmup=0):
         self.engine = Engine()
-        self.tracer = Tracer()
-        self.collector = MetricsCollector(warmup, duration)
-        self.medium = Medium(self.engine, 0, self.collector, self.tracer)
+        self.collector = Tracer(warmup, duration)
+        self.medium = Medium(self.engine, 0, self.collector)
         self.duration = duration
         self.stations = {}
         self._frame_n = 0
@@ -81,7 +79,7 @@ class Bench:
         self.engine.run_until(self.duration if until is None else until)
 
     def events(self, kind=None):
-        recs = [json.loads(line) for line in self.tracer.lines]
+        recs = [json.loads(line) for line in self.collector.lines]
         if kind is None:
             return recs
         return [r for r in recs if r["kind"] == kind]

@@ -5,10 +5,8 @@ from btwifi.mac import Frame
 from btwifi.metrics import MetricsCollector, nearest_rank
 
 
-def make_frame(arrival, delivery, sta="u0"):
-    f = Frame(f"{sta}:x", arrival)
-    f.delivery_time = delivery
-    return f
+def make_frame(arrival, sta="u0"):
+    return Frame(f"{sta}:x", arrival)
 
 
 def test_nearest_rank_definition():
@@ -33,23 +31,23 @@ def test_percentiles_are_ordered_on_random_samples():
 
 def test_delay_sample_recorded_with_windowing():
     col = MetricsCollector(warmup=1000, duration=100_000)
-    col.on_arrival("urllc")
-    col.on_delivered("urllc", "u0", make_frame(2000, 2294), 0)
+    col.on_arrival(2000, "u0", "urllc", make_frame(2000))
+    col.on_delivered(2294, "u0", "urllc", make_frame(2000), 0)
     assert col.urllc_delays == [294]
 
 
 def test_frame_arriving_before_warmup_is_excluded_from_samples():
     col = MetricsCollector(warmup=1000, duration=100_000)
-    col.on_arrival("urllc")
-    col.on_delivered("urllc", "u0", make_frame(900, 1500), 0)
+    col.on_arrival(900, "u0", "urllc", make_frame(900))
+    col.on_delivered(1500, "u0", "urllc", make_frame(900), 0)
     assert col.urllc_delays == []
     assert col.delivered["urllc"] == 1  # still counted as delivered
 
 
 def test_dropped_frame_has_no_delay_sample():
     col = MetricsCollector(warmup=0, duration=100_000)
-    col.on_arrival("urllc")
-    col.on_dropped("urllc")
+    col.on_arrival(0, "u0", "urllc", make_frame(0))
+    col.on_dropped(100, "u0", "urllc", make_frame(0))
     s = col.finalize("proposed", 1, 0, 1, {"regular": 0, "urllc": 0})
     assert s.urllc_dropped == 1 and s.urllc_delay_mean is None
 
@@ -57,8 +55,8 @@ def test_dropped_frame_has_no_delay_sample():
 def test_throughput_counts_bits_delivered_inside_window():
     col = MetricsCollector(warmup=1_000_000, duration=2_000_000)
     for t, bits in ((999_999, 1000), (1_000_000, 2000), (1_999_999, 4000)):
-        col.on_arrival("regular")
-        col.on_delivered("regular", "r0", make_frame(0, t, "r0"), bits)
+        col.on_arrival(0, "r0", "regular", make_frame(0, "r0"))
+        col.on_delivered(t, "r0", "regular", make_frame(0, "r0"), bits)
     s = col.finalize("legacy", 0, 1, 1, {"regular": 0, "urllc": 0})
     # 6000 bits in a 1 s window
     assert s.regular_throughput_bps == pytest.approx(6000.0)
@@ -86,12 +84,12 @@ def test_busy_fraction_is_clipped_union_over_window():
 
 def test_accounting_identity_is_enforced():
     col = MetricsCollector(warmup=0, duration=1000)
-    col.on_arrival("regular")
+    col.on_arrival(0, "r0", "regular", make_frame(0, "r0"))
     with pytest.raises(ContractViolation):
         col.finalize("legacy", 0, 1, 1, {"regular": 0, "urllc": 0})
     # the same books balance once the frame is reported in flight
     col2 = MetricsCollector(warmup=0, duration=1000)
-    col2.on_arrival("regular")
+    col2.on_arrival(0, "r0", "regular", make_frame(0, "r0"))
     col2.finalize("legacy", 0, 1, 1, {"regular": 1, "urllc": 0})
 
 
@@ -99,7 +97,7 @@ def test_per_station_counts_sum_to_global():
     col = MetricsCollector(warmup=0, duration=1_000_000)
     for i in range(7):
         sta = f"r{i % 3}"
-        col.on_arrival("regular")
-        col.on_delivered("regular", sta, make_frame(0, 10 + i, sta), 10)
+        col.on_arrival(0, sta, "regular", make_frame(0, sta))
+        col.on_delivered(10 + i, sta, "regular", make_frame(0, sta), 10)
     s = col.finalize("legacy", 0, 3, 1, {"regular": 0, "urllc": 0})
     assert sum(col.per_sta_delivered.values()) == s.regular_delivered == 7

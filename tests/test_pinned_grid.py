@@ -3,8 +3,9 @@
 Every summary row and every trace of a small grid (both schemes, M in
 {0, 1, 5, 15}, seed 1, 1 s) is pinned by sha256 in three configurations:
 the defaults, a 3 us tone detection delay, and non-default EDCA parameters
-for both classes.  A refactor of the MAC, the medium or the engine must
-leave every hash unchanged.
+for both classes.  Each point also runs untraced, and its row must match
+the same pin: tracing only observes a run.  A refactor of the MAC, the
+medium, the engine or the observers must leave every hash unchanged.
 
 Re-pin only for a deliberate physics change, and say so where the change
 is recorded: a hash that moves otherwise means the refactor changed
@@ -121,4 +122,13 @@ def run_point(config: str, scheme: str, m: int) -> tuple[str, str]:
 def test_rows_and_traces_match_their_pins(config):
     got = {(config, scheme, m): run_point(config, scheme, m) for scheme, m in POINTS}
     want = {key: pin for key, pin in PINS.items() if key[0] == config}
+    assert got == want
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_untraced_rows_match_their_pins(config):
+    got = {(config, scheme, m): _sha(summary_row(run_single(
+        CONFIGS[config].run_config(scheme, m, 1, trace=False)).summary))
+        for scheme, m in POINTS}
+    want = {key: pin[0] for key, pin in PINS.items() if key[0] == config}
     assert got == want

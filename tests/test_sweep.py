@@ -3,6 +3,7 @@ from dataclasses import replace
 
 from btwifi.cli import main
 from btwifi.config import ScenarioConfig
+from btwifi.engine import ContractViolation
 from btwifi.simulation import run_single
 from btwifi.sweep import (CSV_HEADER, expand_grid, render_csv, run_sweep,
                           summary_row, trace_filename)
@@ -101,13 +102,13 @@ def test_csv_numbers_are_plain_decimal():
         assert "e" not in row.lower().replace("proposed", "").replace("legacy", "")
 
 
-def write_quick_cfg(path):
-    path.write_text("""
+def write_quick_cfg(path, seeds="1"):
+    path.write_text(f"""
 [run]
 n_regular = 2
 m_urllc = 1
 schemes = proposed
-seeds = 1
+seeds = {seeds}
 sim_duration_us = 1000000
 warmup_us = 100000
 """, encoding="utf-8")
@@ -177,14 +178,16 @@ def test_cli_unwritable_output_exits_1(tmp_path):
 
 
 def test_cli_unusable_trace_dir_exits_1(tmp_path, capsys):
-    # A regular file as the directory, and a directory where a trace file
-    # must go: both fail even for root, and neither may leave a summary.
+    # A regular file as the directory, and a directory where the second
+    # point's trace file must go: both fail even for root, and neither may
+    # leave a summary or the first point's trace.
     cfg_file = tmp_path / "scenario.cfg"
-    write_quick_cfg(cfg_file)
+    write_quick_cfg(cfg_file, seeds="1, 2")
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
     blocked = tmp_path / "traces"
-    (blocked / trace_filename("proposed", 2, 1, 1)).mkdir(parents=True)
+    blocker = blocked / trace_filename("proposed", 2, 1, 2)
+    blocker.mkdir(parents=True)
     for trace_dir in (not_a_dir, blocked):
         out = tmp_path / "o.csv"
         rc = main(["--config", str(cfg_file), "--out", str(out),
@@ -194,6 +197,32 @@ def test_cli_unusable_trace_dir_exits_1(tmp_path, capsys):
         assert err.startswith("simulate: cannot write output: ")
         assert "Traceback" not in err
         assert not out.exists()
+    assert list(blocked.iterdir()) == [blocker]
+
+
+def test_cli_run_failure_leaves_no_traces(monkeypatch, tmp_path):
+    import btwifi.sweep as sweep_mod
+
+    real_run_single = sweep_mod.run_single
+    seen = []
+
+    def fail_second_point(run_cfg):
+        seen.append(run_cfg.seed)
+        if len(seen) == 2:
+            raise ContractViolation("synthetic failure")
+        return real_run_single(run_cfg)
+
+    monkeypatch.setattr(sweep_mod, "run_single", fail_second_point)
+    cfg_file = tmp_path / "scenario.cfg"
+    write_quick_cfg(cfg_file, seeds="1, 2")
+    out = tmp_path / "o.csv"
+    trace_dir = tmp_path / "traces"
+    rc = main(["--config", str(cfg_file), "--out", str(out),
+               "--trace-dir", str(trace_dir)])
+    assert rc == 2
+    assert seen == [1, 2]
+    assert list(trace_dir.iterdir()) == []
+    assert not out.exists()
 
 
 def test_cli_writes_traces_when_asked(tmp_path):

@@ -131,6 +131,31 @@ def test_tone_onset_on_the_transmit_boundary_cancels_the_start():
     assert starts == {"u0": 77, "r0": 380}
 
 
+def test_backoff_expiry_dispatched_before_the_tone_onset_is_preempted():
+    # Characterization of the opposite dispatch order to the test above:
+    # r0 arms its t=43 transmission before u0's arrival is scheduled, so
+    # the expiry dispatches first.  r0 goes on air, and the tone onset in
+    # the same microsecond aborts it with zero length: it counts as a
+    # preemption and costs a second backoff draw.
+    b = Bench()
+    reg = b.add_regular("r0", draws=[0, 2])
+    u = b.add_urllc("u0")
+    b.enqueue_at(0, reg)
+    b.run(0)
+    b.enqueue_at(43, u)
+    b.run(4000)
+    (pre,) = b.events("preempted")
+    assert pre["sta"] == "r0" and pre["t"] == 43
+    aborted = [e for e in b.events("tx_end") if e["outcome"] == "aborted"]
+    assert [e["t"] for e in aborted] == [43]
+    assert b.collector.preempted == 1
+    assert reg.rng.uniform_calls == [(0, 15), (0, 15)]
+    starts = [(e["sta"], e["t"]) for e in b.events("tx_start") if e["sta"] != "ap"]
+    # r0's zero-length attempt at 43; u0 on air 43+34; r0 resumes with
+    # its fresh draw of 2 after u0's delivery: 337+43+18.
+    assert starts == [("r0", 43), ("u0", 77), ("r0", 398)]
+
+
 def test_dropped_urllc_frame_releases_tone_at_drop_instant():
     b = Bench()
     u1 = b.add_urllc("u0", draws=[0] * 8)
