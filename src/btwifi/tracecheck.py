@@ -5,15 +5,33 @@ interval overlap by sweep-line, tone occupancy by counting assertions,
 busy time by interval union.  None of the simulator's internal flags are
 consulted, so this module can catch bookkeeping bugs the simulator itself
 cannot see.
+
+The audits (scan_trace, replay_csv_row, count_kinds) read their lines once,
+parsing one record at a time, and keep only compact state: one TxRecord per
+transmission, the tone spans, per-kind tallies and the frames still open.
+The tone check is a two-pointer sweep over the transmissions and the tone
+spans, both sorted by start, so an audit takes O(n log n) time in the number
+of records.
+
+Command line:
+
+    python -m btwifi.tracecheck [--config FILE] TRACE...
+
+reads sim_duration_us, warmup_us and detection_delay_us from the scenario
+file (or the defaults), streams each trace, prints one `file: problem` line
+per problem and exits 0 when every trace is clean, 1 on any problem and 2 on
+an unreadable file or a malformed record.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .config import ScenarioConfig, parse_config
 from .metrics import RunSummary, nearest_rank
 from .sweep import summary_row
 
@@ -33,45 +51,90 @@ def load_records(lines: Iterable[str]) -> list[dict]:
     return [json.loads(line) for line in lines if line.strip()]
 
 
-def collect_transmissions(records: list[dict], duration: int) -> list[TxRecord]:
+def _fold_tx(txs: dict[int, TxRecord], rec: dict, kind: str) -> Optional[str]:
+    """Fold one tx_start or tx_end record into txs.
+
+    Returns a problem string for a tx_end whose tx has no tx_start.
+    """
+    t = rec["t"]
+    if kind == "tx_start":
+        txid, dur = rec["tx"], rec["dur"]
+        if not (type(t) is int and type(dur) is int and type(txid) is int):
+            raise TypeError("tx_start needs integer t, tx and dur")
+        txs[txid] = TxRecord(txid, rec["sta"], rec["ftype"], t, t + dur)
+        return None
+    if type(t) is not int:
+        raise TypeError("tx_end needs an integer t")
+    tx = txs.get(rec["tx"])
+    if tx is None:
+        return f"tx {rec['tx']}: tx_end without tx_start"
+    tx.end = t
+    tx.outcome = rec["outcome"]
+    return None
+
+
+def _by_start(txs: dict[int, TxRecord], duration: int) -> list[TxRecord]:
+    """The transmissions sorted by start; one still in flight ends at duration."""
+    for tx in txs.values():
+        if tx.end is None:
+            tx.end = min(tx.scheduled_end, duration)
+    return sorted(txs.values(), key=lambda tx: (tx.start, tx.tx))
+
+
+class _ToneLevel:
+    """Tone level folded over tone_on/tone_off records in trace order."""
+
+    __slots__ = ("spans", "level", "start")
+
+    def __init__(self) -> None:
+        self.spans: list[tuple[int, int]] = []  # ended spans of level > 0
+        self.level = 0
+        self.start = 0  # start of the current span
+
+    def add(self, kind: str, t: int) -> None:
+        if type(t) is not int:
+            raise TypeError(f"{kind} needs an integer t")
+        if kind == "tone_on":
+            if self.level == 0:
+                # keeps the spans sorted and disjoint, as the tone check needs
+                if self.spans and t < self.spans[-1][1]:
+                    raise ValueError(f"tone_on at {t} is earlier than the end "
+                                     f"of the tone span before it")
+                self.start = t
+            self.level += 1
+        else:
+            self.level -= 1
+            if self.level == 0 and t > self.start:
+                self.spans.append((self.start, t))
+            if self.level < 0:
+                raise ValueError("tone_off without matching tone_on")
+
+    def spans_until(self, duration: int) -> list[tuple[int, int]]:
+        """The spans, with one still open at the end closed at duration."""
+        if self.level > 0:
+            return self.spans + [(self.start, duration)]
+        return self.spans
+
+
+def collect_transmissions(records: Iterable[dict], duration: int) -> list[TxRecord]:
     txs: dict[int, TxRecord] = {}
     for rec in records:
         kind = rec["kind"]
-        if kind == "tx_start":
-            txs[rec["tx"]] = TxRecord(rec["tx"], rec["sta"], rec["ftype"],
-                                      rec["t"], rec["t"] + rec["dur"])
-        elif kind == "tx_end":
-            tx = txs[rec["tx"]]
-            tx.end = rec["t"]
-            tx.outcome = rec["outcome"]
-    out = []
-    for tx in txs.values():
-        if tx.end is None:  # still in flight when the run ended
-            tx.end = min(tx.scheduled_end, duration)
-        out.append(tx)
-    out.sort(key=lambda tx: (tx.start, tx.tx))
-    return out
+        if kind == "tx_start" or kind == "tx_end":
+            problem = _fold_tx(txs, rec, kind)
+            if problem is not None:
+                raise ValueError(problem)
+    return _by_start(txs, duration)
 
 
-def tone_spans(records: list[dict], duration: int) -> list[tuple[int, int]]:
+def tone_spans(records: Iterable[dict], duration: int) -> list[tuple[int, int]]:
     """Intervals during which at least one tone was asserted."""
-    spans = []
-    level = 0
-    span_start = 0
+    tone = _ToneLevel()
     for rec in records:
-        if rec["kind"] == "tone_on":
-            if level == 0:
-                span_start = rec["t"]
-            level += 1
-        elif rec["kind"] == "tone_off":
-            level -= 1
-            if level == 0 and rec["t"] > span_start:
-                spans.append((span_start, rec["t"]))
-            if level < 0:
-                raise ValueError("tone_off without matching tone_on")
-    if level > 0:
-        spans.append((span_start, duration))
-    return spans
+        kind = rec["kind"]
+        if kind == "tone_on" or kind == "tone_off":
+            tone.add(kind, rec["t"])
+    return tone.spans_until(duration)
 
 
 def union_measure(intervals: list[tuple[int, int]], lo: int, hi: int) -> int:
@@ -112,10 +175,29 @@ def mark_overlaps(txs: list[TxRecord]) -> set[int]:
 
 def scan_trace(lines: Iterable[str], duration: int, warmup: int,
                detection_delay: int = 0) -> list[str]:
-    """Physics checks over one run trace; returns problem strings."""
-    records = load_records(lines)
-    txs = collect_transmissions(records, duration)
+    """Physics checks over one run trace; returns problem strings.
+
+    Reads lines once.  A malformed record raises ValueError naming its line.
+    """
+    by_id: dict[int, TxRecord] = {}
+    tone = _ToneLevel()
     problems: list[str] = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            kind = rec["kind"]
+            if kind == "tx_start" or kind == "tx_end":
+                problem = _fold_tx(by_id, rec, kind)
+                if problem is not None:
+                    problems.append(problem)
+            elif kind == "tone_on" or kind == "tone_off":
+                tone.add(kind, rec["t"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"line {lineno}: malformed record "
+                             f"({type(exc).__name__}: {exc})") from exc
+    txs = _by_start(by_id, duration)
 
     overlapped = mark_overlaps(txs)
     for tx in txs:
@@ -135,11 +217,20 @@ def scan_trace(lines: Iterable[str], duration: int, warmup: int,
         elif tx.outcome == "collided" and not hit:
             problems.append(f"tx {tx.tx}: reported collided but overlaps nothing")
 
-    spans = tone_spans(records, duration)
+    # Two pointers: txs and spans are sorted by start and spans are disjoint.
+    spans = tone.spans_until(duration)
+    first = 0  # spans before it ended before the current tx started
     for tx in txs:
         if tx.ftype != "regular-data":
             continue
-        for a, b in spans:
+        while first < len(spans) and spans[first][1] <= tx.start:
+            first += 1
+        # A span shorter than the detection delay can miss and still be
+        # followed by one that hits, so the scan goes on past a miss.
+        for i in range(first, len(spans)):
+            a, b = spans[i]
+            if a + detection_delay >= tx.end:
+                break
             if min(tx.end, b) - max(tx.start, a + detection_delay) > 0:
                 problems.append(
                     f"tx {tx.tx}: regular data on air inside tone interval "
@@ -150,28 +241,33 @@ def scan_trace(lines: Iterable[str], duration: int, warmup: int,
 
 def count_kinds(lines: Iterable[str]) -> dict[str, int]:
     counts: dict[str, int] = {}
-    for rec in load_records(lines):
-        counts[rec["kind"]] = counts.get(rec["kind"], 0) + 1
+    for line in lines:
+        if line.strip():
+            kind = json.loads(line)["kind"]
+            counts[kind] = counts.get(kind, 0) + 1
     return counts
 
 
 def replay_csv_row(lines: Iterable[str], scheme: str, m: int, n: int, seed: int,
                    duration: int, warmup: int, regular_payload_bits: int) -> str:
-    """Recompute a summary CSV row from the trace alone."""
-    records = load_records(lines)
-    arrivals: dict[str, tuple[int, str]] = {}  # frame -> (time, class)
+    """Recompute a summary CSV row from the trace alone, read in one pass."""
+    open_frames: dict[str, tuple[int, str]] = {}  # frame -> (arrival, class)
+    by_id: dict[int, TxRecord] = {}
     delays = []
     delivered = {"regular": 0, "urllc": 0}
     dropped = {"regular": 0, "urllc": 0}
     collided = {"regular": 0, "urllc": 0}
     preempted = 0
     regular_bits = 0
-    for rec in records:
+    for line in lines:
+        if not line.strip():
+            continue
+        rec = json.loads(line)
         kind = rec["kind"]
         if kind == "arrival":
-            arrivals[rec["frame"]] = (rec["t"], rec["cls"])
+            open_frames[rec["frame"]] = (rec["t"], rec["cls"])
         elif kind == "delivered":
-            arrived, cls = arrivals[rec["frame"]]
+            arrived, cls = open_frames.pop(rec["frame"])
             delivered[cls] += 1
             if cls == "urllc":
                 if arrived >= warmup:
@@ -179,11 +275,15 @@ def replay_csv_row(lines: Iterable[str], scheme: str, m: int, n: int, seed: int,
             elif rec["t"] >= warmup:
                 regular_bits += regular_payload_bits
         elif kind == "dropped":
-            dropped[arrivals[rec["frame"]][1]] += 1
+            dropped[open_frames.pop(rec["frame"])[1]] += 1
         elif kind == "preempted":
             preempted += 1
+        elif kind == "tx_start" or kind == "tx_end":
+            problem = _fold_tx(by_id, rec, kind)
+            if problem is not None:
+                raise ValueError(problem)
 
-    txs = collect_transmissions(records, duration)
+    txs = _by_start(by_id, duration)
     for tx in txs:
         if tx.outcome == "collided" and tx.ftype != "ack":
             collided[tx.ftype.split("-", 1)[0]] += 1
@@ -207,3 +307,46 @@ def replay_csv_row(lines: Iterable[str], scheme: str, m: int, n: int, seed: int,
         regular_dropped=dropped["regular"], regular_preempted=preempted,
         regular_collided=collided["regular"],
         channel_busy_fraction=busy / window))
+
+
+def main(argv=None) -> int:
+    import argparse  # only the command line needs it, not the importers
+
+    p = argparse.ArgumentParser(
+        prog="python -m btwifi.tracecheck",
+        description="Audit JSONL run traces: print one `file: problem` line "
+                    "per problem; exit 0 if every trace is clean, 1 on any "
+                    "problem, 2 on an unreadable file or a malformed record.")
+    p.add_argument("--config", metavar="FILE",
+                   help="scenario file giving sim_duration_us, warmup_us and "
+                        "detection_delay_us (omit for the defaults)")
+    p.add_argument("traces", nargs="+", metavar="TRACE", help="JSONL trace file")
+    args = p.parse_args(argv)
+    try:
+        if args.config is None:
+            cfg = ScenarioConfig()
+        else:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = parse_config(fh.read())
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
+        print(f"tracecheck: config error: {exc}", file=sys.stderr)
+        return 2
+    status = 0
+    for path in args.traces:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                problems = scan_trace(fh, cfg.sim_duration, cfg.warmup,
+                                      cfg.detection_delay)
+        except (OSError, ValueError) as exc:
+            print(f"tracecheck: {path}: {exc}", file=sys.stderr)
+            status = 2
+            continue
+        for problem in problems:
+            print(f"{path}: {problem}")
+        if problems and status == 0:
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

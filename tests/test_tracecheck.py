@@ -1,4 +1,11 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from btwifi.config import ScenarioConfig
 from btwifi.simulation import run_single
@@ -119,3 +126,197 @@ def test_trace_is_byte_identical_across_reruns():
     assert a.trace_lines == b.trace_lines
     c = traced_run("proposed", 3, seed=10)
     assert a.trace_lines != c.trace_lines
+
+
+# -- the tone check against the quadratic oracle ------------------------------
+
+def naive_tone_problems(lines, duration, detection_delay):
+    """Every regular transmission against every tone span: the reference for
+    scan_trace's two-pointer sweep."""
+    records = load_records(lines)
+    spans = tone_spans(records, duration)
+    problems = []
+    for tx in collect_transmissions(records, duration):
+        if tx.ftype != "regular-data":
+            continue
+        for a, b in spans:
+            if min(tx.end, b) - max(tx.start, a + detection_delay) > 0:
+                problems.append(
+                    f"tx {tx.tx}: regular data on air inside tone interval "
+                    f"[{a},{b}) beyond the {detection_delay} us detection delay")
+                break
+    return problems
+
+
+def shift_tones(lines, rng, max_shift=40):
+    """Shift about a third of the tone records by up to max_shift us, keeping
+    the trace in time order."""
+    recs = [json.loads(line) for line in lines]
+    for rec in recs:
+        if rec["kind"] in ("tone_on", "tone_off") and rng.random() < 0.3:
+            rec["t"] += rng.randint(-max_shift, max_shift)
+    recs.sort(key=lambda rec: rec["t"])
+    return [json.dumps(rec) for rec in recs]
+
+
+def test_tone_sweep_matches_the_quadratic_oracle_on_mutated_traces():
+    cfg = ScenarioConfig(n_regular=4, sim_duration=500_000, warmup=50_000)
+    lines = traced_run("proposed", 5, seed=3, cfg=cfg).trace_lines
+    rng = random.Random(2008)
+    compared = 0
+    for _ in range(12):
+        mutated = shift_tones(lines, rng)
+        for delay in (0, 3, 40, 500):
+            try:
+                want = naive_tone_problems(mutated, cfg.sim_duration, delay)
+            except ValueError:  # a tone_off shifted before its tone_on
+                with pytest.raises(ValueError):
+                    scan_trace(mutated, cfg.sim_duration, cfg.warmup, delay)
+                continue
+            found = scan_trace(mutated, cfg.sim_duration, cfg.warmup, delay)
+            assert [p for p in found if "tone interval" in p] == want
+            compared += len(want)
+    assert compared > 100  # the shifts do put regular data inside tones
+
+
+def synthetic(*recs):
+    """JSONL lines for (t, kind, fields) tuples, in time order."""
+    return [json.dumps(dict(t=t, kind=kind, **fields))
+            for t, kind, fields in sorted(recs, key=lambda r: r[0])]
+
+
+def regular_tx(tx, start, end, outcome, dur=None):
+    return ((start, "tx_start", dict(sta="r", tx=tx, ftype="regular-data",
+                                     dur=end - start if dur is None else dur)),
+            (end, "tx_end", dict(tx=tx, outcome=outcome)))
+
+
+def tone(on, off):
+    return ((on, "tone_on", dict(sta="u", fast=True)),
+            (off, "tone_off", dict(sta="u", reason="delivered")))
+
+
+def test_a_span_shorter_than_the_delay_does_not_hide_a_later_hit():
+    lines = synthetic(*regular_tx(1, 50, 150, "clean"), *tone(100, 102),
+                      *tone(110, 200))
+    assert scan_trace(lines, 1000, 0, detection_delay=5) == [
+        "tx 1: regular data on air inside tone interval [110,200) beyond "
+        "the 5 us detection delay"]
+    assert scan_trace(lines, 1000, 0, detection_delay=0) == [
+        "tx 1: regular data on air inside tone interval [100,102) beyond "
+        "the 0 us detection delay"]
+
+
+def test_zero_length_abort_at_a_span_start_is_clean():
+    lines = synthetic(*regular_tx(1, 100, 100, "aborted", dur=2000),
+                      *regular_tx(2, 40, 100, "clean"), *tone(100, 300))
+    for delay in (0, 3):
+        assert scan_trace(lines, 1000, 0, delay) == []
+
+
+def test_a_one_us_shift_of_a_tone_span_is_caught():
+    res = traced_run("proposed", 3, seed=2)
+    lines = list(res.trace_lines)
+    recs = [json.loads(line) for line in lines]
+    aborts = {r["t"]: r["tx"] for r in recs
+              if r["kind"] == "tx_end" and r["outcome"] == "aborted"}
+    starts = {r["tx"]: r["t"] for r in recs if r["kind"] == "tx_start"}
+    # a tone onset that aborts a transmission already on air for > 1 us
+    i = next(i for i, r in enumerate(recs) if r["kind"] == "tone_on"
+             and r["t"] in aborts and starts[aborts[r["t"]]] < r["t"] - 1)
+    onset, victim = recs[i]["t"], aborts[recs[i]["t"]]
+    assert scan_trace(lines, CFG.sim_duration, CFG.warmup) == []
+    lines[i] = json.dumps(dict(recs[i], t=onset - 1))
+    problems = scan_trace(lines, CFG.sim_duration, CFG.warmup)
+    assert len(problems) == 1
+    assert problems[0].startswith(f"tx {victim}: regular data on air inside "
+                                  f"tone interval [{onset - 1},")
+
+
+def test_a_one_shot_iterator_gives_the_same_results_as_the_list():
+    res = traced_run("proposed", 2, seed=5)
+    lines = shift_tones(res.trace_lines, random.Random(5))
+    problems = scan_trace(lines, CFG.sim_duration, CFG.warmup)
+    assert problems
+    assert scan_trace(iter(lines), CFG.sim_duration, CFG.warmup) == problems
+    args = ("proposed", 2, CFG.n_regular, 5, CFG.sim_duration, CFG.warmup,
+            CFG.regular.payload_bits)
+    assert replay_csv_row(iter(lines), *args) == replay_csv_row(lines, *args)
+    assert count_kinds(iter(lines)) == count_kinds(lines)
+
+
+def test_tx_end_without_tx_start_is_a_problem_not_a_crash():
+    lines = synthetic(*regular_tx(1, 50, 150, "clean"),
+                      (300, "tx_end", dict(tx=7, outcome="clean")))
+    assert scan_trace(lines, 1000, 0) == ["tx 7: tx_end without tx_start"]
+
+
+# -- command line ---------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def tracecheck_cli(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "btwifi.tracecheck", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.fixture(scope="module")
+def trace_files(tmp_path_factory):
+    """A clean detection-delay-3 trace, its scenario file, and a copy of the
+    trace with regular data put inside a tone."""
+    cfg = ScenarioConfig(n_regular=3, sim_duration=1_000_000, warmup=100_000,
+                         detection_delay=3)
+    lines = traced_run("proposed", 2, seed=1, cfg=cfg).trace_lines
+    d = tmp_path_factory.mktemp("traces")
+    scenario = d / "scenario.cfg"
+    scenario.write_text("[run]\nsim_duration_us = 1000000\nwarmup_us = 100000\n"
+                        "[phy]\ndetection_delay_us = 3\n")
+    clean = d / "clean.jsonl"
+    clean.write_text("\n".join(lines) + "\n")
+    t = next(json.loads(line)["t"] for line in lines
+             if json.loads(line)["kind"] == "tone_on")
+    bad = d / "bad.jsonl"
+    bad.write_text("\n".join(sorted(
+        lines + synthetic(*regular_tx(999999, t + 5, t + 45, "collided")),
+        key=lambda line: json.loads(line)["t"])) + "\n")
+    return scenario, clean, bad
+
+
+def test_cli_exits_0_on_clean_traces(trace_files):
+    scenario, clean, _ = trace_files
+    out = tracecheck_cli("--config", str(scenario), str(clean), str(clean))
+    assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+
+
+def test_cli_exits_1_and_prints_each_problem(trace_files):
+    scenario, clean, bad = trace_files
+    out = tracecheck_cli("--config", str(scenario), str(clean), str(bad))
+    assert out.returncode == 1
+    assert out.stdout.splitlines() == [
+        f"{bad}: {p}" for p in scan_trace(bad.read_text().splitlines(),
+                                           1_000_000, 100_000, 3)]
+    assert "tx 999999: regular data on air inside tone interval" in out.stdout
+
+
+def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
+    scenario, clean, bad = trace_files
+    missing = tmp_path / "missing.jsonl"
+    out = tracecheck_cli("--config", str(scenario), str(missing), str(bad))
+    assert out.returncode == 2
+    assert str(missing) in out.stderr
+    assert out.stdout.startswith(f"{bad}: ")  # later files are still audited
+
+    lines = clean.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if '"tx_start"' in line)
+    for broken, what in ((lines[k][:-5], "JSONDecodeError"),
+                         (lines[k].replace('"dur":', '"d":'), "KeyError: 'dur'"),
+                         (json.dumps(dict(json.loads(lines[k]), t="0")), "TypeError"),
+                         ('{"t": 5, "kind": "tone_off"}', "tone_off without")):
+        malformed = tmp_path / "malformed.jsonl"
+        malformed.write_text("\n".join(lines[:k] + [broken] + lines[k + 1:]))
+        out = tracecheck_cli(str(malformed))
+        assert out.returncode == 2, what
+        assert f"{malformed}: line {k + 1}: malformed record" in out.stderr
+        assert what in out.stderr
