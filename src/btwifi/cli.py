@@ -7,7 +7,8 @@
 --scheme/--m/--seed restrict the grid so any single CSV row can be
 reproduced in isolation.  Exit codes: 0 success, 1 configuration or output
 error (including an unusable --trace-dir), 2 a run failed; stderr names its
-grid point.
+grid point.  A command that exits 1 or 2 leaves no summary CSV, trace file or
+curve file behind.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, ScenarioConfig, parse_config, validate
-from .sweep import SweepError, run_sweep, write_curve_files, write_summary_csv
+from .config import SCHEMES, ConfigError, ScenarioConfig, parse_config, validate
+from .sweep import SweepError, write_outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="summary CSV path (default: %(default)s)")
     p.add_argument("--trace-dir", metavar="DIR",
                    help="write one JSONL event trace per run into DIR")
-    p.add_argument("--scheme", choices=("legacy", "proposed"),
+    p.add_argument("--scheme", choices=SCHEMES,
                    help="restrict the sweep to one scheme")
     p.add_argument("--m", type=int, metavar="INT",
                    help="restrict the sweep to one URLLC station count")
@@ -76,12 +77,10 @@ def main(argv=None) -> int:
         print("simulate: --jobs must be >= 1", file=sys.stderr)
         return 1
     try:
-        # run_sweep raises OSError only for the trace directory or files:
-        # a failure inside a run comes out as SweepError.
-        summaries = run_sweep(cfg, jobs=args.jobs, trace_dir=args.trace_dir)
-        write_summary_csv(summaries, args.out)
-        if args.curves_dir is not None:
-            write_curve_files(summaries, args.curves_dir)
+        # OSError comes only from the output files: a failure inside a run
+        # comes out as SweepError.
+        summaries = write_outputs(cfg, args.out, args.jobs, args.trace_dir,
+                                  args.curves_dir)
     except SweepError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return 2

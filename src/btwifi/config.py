@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .mac import EdcaParams, PhyConstants
-from .simulation import RunConfig
-
-SCHEMES = ("legacy", "proposed")
+from .simulation import SCHEMES, RunConfig
 
 # One regular data frame may occupy the air for at most ~5 ms.
 MAX_REGULAR_AIRTIME_US = 5484

@@ -18,8 +18,8 @@ from .trace import Tracer
 from .traffic import ExpAfterSuccessSource, SaturatedSource
 from .urllc import UrllcStation
 
-LEGACY = "legacy"
-PROPOSED = "proposed"
+SCHEMES = ("legacy", "proposed")  # plain EDCA; EDCA with the busy tone
+LEGACY, PROPOSED = SCHEMES
 
 
 @dataclass(slots=True)
@@ -47,7 +47,7 @@ class RunResult:
 
 
 def run_single(cfg: RunConfig) -> RunResult:
-    if cfg.scheme not in (LEGACY, PROPOSED):
+    if cfg.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {cfg.scheme!r}")
     engine = Engine()
     collector = (Tracer if cfg.trace else MetricsCollector)(cfg.warmup, cfg.sim_duration)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import os
 from multiprocessing import get_context
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -19,10 +20,25 @@ from .config import ScenarioConfig
 from .metrics import RunSummary
 from .simulation import run_single
 
-CSV_HEADER = ("scheme,M,N,seed,urllc_delay_mean_us,urllc_delay_p99_us,"
-              "urllc_delivered,urllc_dropped,urllc_collided,"
-              "regular_throughput_bps,regular_delivered,regular_preempted,"
-              "channel_busy_fraction,sim_duration_us,warmup_us")
+# (CSV column, RunSummary attribute), in column order
+CSV_COLUMNS = (
+    ("scheme", "scheme"), ("M", "m_urllc"), ("N", "n_regular"), ("seed", "seed"),
+    ("urllc_delay_mean_us", "urllc_delay_mean"),
+    ("urllc_delay_p99_us", "urllc_delay_p99"),
+    ("urllc_delivered", "urllc_delivered"), ("urllc_dropped", "urllc_dropped"),
+    ("urllc_collided", "urllc_collided"),
+    ("regular_throughput_bps", "regular_throughput_bps"),
+    ("regular_delivered", "regular_delivered"),
+    ("regular_preempted", "regular_preempted"),
+    ("channel_busy_fraction", "channel_busy_fraction"),
+    ("sim_duration_us", "sim_duration"), ("warmup_us", "warmup"),
+)
+CSV_HEADER = ",".join(column for column, _ in CSV_COLUMNS)
+_row_fields = attrgetter(*(attr for _, attr in CSV_COLUMNS))
+
+# curve file metric -> the RunSummary attribute it averages
+CURVES = {"urllc_delay_mean_us": "urllc_delay_mean",
+          "regular_throughput_bps": "regular_throughput_bps"}
 
 
 class SweepError(RuntimeError):
@@ -63,31 +79,51 @@ def _execute_point(args) -> RunSummary:
     return result.summary
 
 
+def trace_paths(cfg: ScenarioConfig, trace_dir: Optional[str]) -> list:
+    """Each grid point's trace file in expand_grid order; None if untraced."""
+    return [None if trace_dir is None else
+            str(Path(trace_dir) / trace_filename(scheme, cfg.n_regular, m, seed))
+            for scheme, m, seed in expand_grid(cfg)]
+
+
 def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
               trace_dir: Optional[str] = None) -> list[RunSummary]:
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
-    tasks = []
-    for scheme, m, seed in expand_grid(cfg):
-        trace_path = None
-        if trace_dir is not None:
-            trace_path = str(Path(trace_dir) / trace_filename(scheme, cfg.n_regular, m, seed))
-        tasks.append((cfg.run_config(scheme, m, seed, trace=trace_path is not None),
-                      trace_path))
+    tasks = [(cfg.run_config(scheme, m, seed, trace=path is not None), path)
+             for (scheme, m, seed), path in zip(expand_grid(cfg),
+                                                trace_paths(cfg, trace_dir))]
     # More workers than points or CPUs would only add interpreter start-ups.
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with get_context("spawn").Pool(workers) as pool:
+            return pool.map(_execute_point, tasks)
+    return [_execute_point(t) for t in tasks]
+
+
+def write_outputs(cfg: ScenarioConfig, out: str, jobs: int = 1,
+                  trace_dir: Optional[str] = None,
+                  curves_dir: Optional[str] = None) -> list[RunSummary]:
+    """Run the sweep and write its summary CSV, trace and curve files.
+
+    If anything fails, every file it would write is removed before the
+    exception propagates, so no partial or stale output is left behind.
+    """
+    paths = [out, *(p for p in trace_paths(cfg, trace_dir) if p is not None)]
+    if curves_dir is not None:
+        paths += [curve_path(curves_dir, name, scheme)
+                  for scheme in cfg.schemes for name in CURVES]
     try:
-        if workers > 1:
-            with get_context("spawn").Pool(workers) as pool:
-                return pool.map(_execute_point, tasks)
-        return [_execute_point(t) for t in tasks]
+        summaries = run_sweep(cfg, jobs, trace_dir)
+        write_summary_csv(summaries, out)
+        if curves_dir is not None:
+            write_curve_files(summaries, curves_dir)
     except BaseException:
-        # A failed sweep leaves none of its grid's trace files behind.
-        for _, trace_path in tasks:
-            if trace_path is not None:
-                with contextlib.suppress(OSError):
-                    os.remove(trace_path)
+        for path in paths:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise
+    return summaries
 
 
 # -- CSV / curve files ------------------------------------------------------
@@ -101,13 +137,7 @@ def _fmt(value) -> str:
 
 
 def summary_row(s: RunSummary) -> str:
-    fields = (s.scheme, s.m_urllc, s.n_regular, s.seed,
-              s.urllc_delay_mean, s.urllc_delay_p99,
-              s.urllc_delivered, s.urllc_dropped, s.urllc_collided,
-              s.regular_throughput_bps, s.regular_delivered,
-              s.regular_preempted, s.channel_busy_fraction,
-              s.sim_duration, s.warmup)
-    return ",".join(_fmt(f) for f in fields)
+    return ",".join(map(_fmt, _row_fields(s)))
 
 
 def render_csv(summaries: list[RunSummary]) -> str:
@@ -121,31 +151,27 @@ def write_summary_csv(summaries: list[RunSummary], path: str) -> None:
         fh.write(render_csv(summaries))
 
 
-def write_curve_files(summaries: list[RunSummary], out_dir: str) -> list[str]:
+def curve_path(out_dir: str, name: str, scheme: str) -> str:
+    return str(Path(out_dir) / f"{name}_{scheme}.dat")
+
+
+def write_curve_files(summaries: list[RunSummary], out_dir: str) -> None:
     """Two-column (M, metric) files per scheme, seed-averaged; gnuplot-ready."""
     os.makedirs(out_dir, exist_ok=True)
-    metrics = {
-        "urllc_delay_mean_us": lambda s: s.urllc_delay_mean,
-        "regular_throughput_bps": lambda s: s.regular_throughput_bps,
-    }
-    written = []
-    schemes = sorted({s.scheme for s in summaries})
-    for scheme in schemes:
-        for name, get in metrics.items():
+    for scheme in sorted({s.scheme for s in summaries}):
+        for name, attr in CURVES.items():
             by_m: dict[int, list[float]] = {}
             for s in summaries:
                 if s.scheme != scheme:
                     continue
-                v = get(s)
+                v = getattr(s, attr)
                 if v is not None:
                     by_m.setdefault(s.m_urllc, []).append(v)
             if not by_m:
                 continue
-            path = str(Path(out_dir) / f"{name}_{scheme}.dat")
+            path = curve_path(out_dir, name, scheme)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(f"# M  {name} ({scheme}, mean over seeds)\n")
                 for m in sorted(by_m):
                     vals = by_m[m]
                     fh.write(f"{m} {_fmt(sum(vals) / len(vals))}\n")
-            written.append(path)
-    return written

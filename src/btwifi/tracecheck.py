@@ -6,12 +6,15 @@ busy time by interval union.  None of the simulator's internal flags are
 consulted, so this module can catch bookkeeping bugs the simulator itself
 cannot see.
 
-The audits (scan_trace, replay_csv_row, count_kinds) read their lines once,
-parsing one record at a time, and keep only compact state: one TxRecord per
-transmission, the tone spans, per-kind tallies and the frames still open.
-The tone check is a two-pointer sweep over the transmissions and the tone
-spans, both sorted by start, so an audit takes O(n log n) time in the number
-of records.
+load_records is the only place a trace record is parsed.  It reads its
+lines once, one record at a time, into a Trace of compact state: one
+TxRecord per transmission, the tone spans, the delivered frames and the
+drop and preemption counts.  Any malformed record raises a ValueError that
+names its line.  scan_trace and replay_csv_row are load_records plus their
+own checks or arithmetic.  count_kinds keeps its own loop: it reads only
+`kind`, and folding every record costs more than that.  The tone check is a
+two-pointer sweep over the transmissions and the tone spans, both sorted by
+start, so an audit takes O(n log n) time in the number of records.
 
 Command line:
 
@@ -39,7 +42,6 @@ from .sweep import summary_row
 @dataclass(slots=True)
 class TxRecord:
     tx: int
-    sta: str
     ftype: str
     start: int
     scheduled_end: int
@@ -47,94 +49,100 @@ class TxRecord:
     outcome: Optional[str] = None
 
 
-def load_records(lines: Iterable[str]) -> list[dict]:
-    return [json.loads(line) for line in lines if line.strip()]
+@dataclass(slots=True)
+class Trace:
+    """One trace folded by load_records: all that the audits read of it."""
+    txs: dict[int, TxRecord]  # by tx id
+    problems: list[str]  # tx_end without tx_start, in trace order
+    spans: list[tuple[int, int]]  # closed tone spans, sorted and disjoint
+    tone_open: Optional[int]  # start of a tone span still open at the end
+    delivered: list[tuple[int, int, str]]  # (t, arrival, class) per frame
+    dropped: dict[str, int]  # per class
+    preempted: int
 
 
-def _fold_tx(txs: dict[int, TxRecord], rec: dict, kind: str) -> Optional[str]:
-    """Fold one tx_start or tx_end record into txs.
+def load_records(lines: Iterable[str]) -> Trace:
+    """Fold a trace into a Trace, reading lines once.
 
-    Returns a problem string for a tx_end whose tx has no tx_start.
+    A malformed record raises ValueError naming its line.  That includes a
+    tone_off without a tone_on, a tone span that starts before the one
+    before it ended, and a delivered or dropped frame that never arrived.
     """
-    t = rec["t"]
-    if kind == "tx_start":
-        txid, dur = rec["tx"], rec["dur"]
-        if not (type(t) is int and type(dur) is int and type(txid) is int):
-            raise TypeError("tx_start needs integer t, tx and dur")
-        txs[txid] = TxRecord(txid, rec["sta"], rec["ftype"], t, t + dur)
-        return None
-    if type(t) is not int:
-        raise TypeError("tx_end needs an integer t")
-    tx = txs.get(rec["tx"])
-    if tx is None:
-        return f"tx {rec['tx']}: tx_end without tx_start"
-    tx.end = t
-    tx.outcome = rec["outcome"]
-    return None
+    txs: dict[int, TxRecord] = {}
+    problems: list[str] = []
+    spans: list[tuple[int, int]] = []
+    level = start = preempted = 0  # tone level and start of its span
+    open_frames: dict[str, tuple[int, str]] = {}  # frame -> (arrival, class)
+    delivered: list[tuple[int, int, str]] = []
+    dropped = {"regular": 0, "urllc": 0}
+    # Strings kept past their record are interned: json.loads makes a new
+    # copy of each value, and one per transmission would double its size.
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            kind, t = rec["kind"], rec["t"]
+            if type(t) is not int:
+                raise TypeError(f"{kind} needs an integer t")
+            if kind == "tx_start":
+                txid, dur = rec["tx"], rec["dur"]
+                if type(dur) is not int or type(txid) is not int:
+                    raise TypeError("tx_start needs integer tx and dur")
+                txs[txid] = TxRecord(txid, sys.intern(rec["ftype"]), t, t + dur)
+            elif kind == "tx_end":
+                tx = txs.get(rec["tx"])
+                if tx is None:
+                    problems.append(f"tx {rec['tx']}: tx_end without tx_start")
+                else:
+                    tx.end = t
+                    tx.outcome = sys.intern(rec["outcome"])
+            elif kind == "arrival":
+                cls = rec["cls"]
+                if cls not in dropped:
+                    raise ValueError(f"unknown frame class {cls!r}")
+                open_frames[rec["frame"]] = (t, sys.intern(cls))
+            elif kind == "delivered":
+                arrival, cls = open_frames.pop(rec["frame"])
+                delivered.append((t, arrival, cls))
+            elif kind == "tone_on":
+                if level == 0:
+                    # keeps the spans sorted and disjoint, as the tone check needs
+                    if spans and t < spans[-1][1]:
+                        raise ValueError(f"tone_on at {t} is earlier than the end "
+                                         f"of the tone span before it")
+                    start = t
+                level += 1
+            elif kind == "tone_off":
+                level -= 1
+                if level < 0:
+                    raise ValueError("tone_off without matching tone_on")
+                if level == 0 and t > start:
+                    spans.append((start, t))
+            elif kind == "dropped":
+                dropped[open_frames.pop(rec["frame"])[1]] += 1
+            elif kind == "preempted":
+                preempted += 1
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"line {lineno}: malformed record "
+                             f"({type(exc).__name__}: {exc})") from exc
+    return Trace(txs, problems, spans, start if level else None, delivered,
+                 dropped, preempted)
 
 
-def _by_start(txs: dict[int, TxRecord], duration: int) -> list[TxRecord]:
+def collect_transmissions(trace: Trace, duration: int) -> list[TxRecord]:
     """The transmissions sorted by start; one still in flight ends at duration."""
-    for tx in txs.values():
+    for tx in trace.txs.values():
         if tx.end is None:
             tx.end = min(tx.scheduled_end, duration)
-    return sorted(txs.values(), key=lambda tx: (tx.start, tx.tx))
+    return sorted(trace.txs.values(), key=lambda tx: (tx.start, tx.tx))
 
 
-class _ToneLevel:
-    """Tone level folded over tone_on/tone_off records in trace order."""
-
-    __slots__ = ("spans", "level", "start")
-
-    def __init__(self) -> None:
-        self.spans: list[tuple[int, int]] = []  # ended spans of level > 0
-        self.level = 0
-        self.start = 0  # start of the current span
-
-    def add(self, kind: str, t: int) -> None:
-        if type(t) is not int:
-            raise TypeError(f"{kind} needs an integer t")
-        if kind == "tone_on":
-            if self.level == 0:
-                # keeps the spans sorted and disjoint, as the tone check needs
-                if self.spans and t < self.spans[-1][1]:
-                    raise ValueError(f"tone_on at {t} is earlier than the end "
-                                     f"of the tone span before it")
-                self.start = t
-            self.level += 1
-        else:
-            self.level -= 1
-            if self.level == 0 and t > self.start:
-                self.spans.append((self.start, t))
-            if self.level < 0:
-                raise ValueError("tone_off without matching tone_on")
-
-    def spans_until(self, duration: int) -> list[tuple[int, int]]:
-        """The spans, with one still open at the end closed at duration."""
-        if self.level > 0:
-            return self.spans + [(self.start, duration)]
-        return self.spans
-
-
-def collect_transmissions(records: Iterable[dict], duration: int) -> list[TxRecord]:
-    txs: dict[int, TxRecord] = {}
-    for rec in records:
-        kind = rec["kind"]
-        if kind == "tx_start" or kind == "tx_end":
-            problem = _fold_tx(txs, rec, kind)
-            if problem is not None:
-                raise ValueError(problem)
-    return _by_start(txs, duration)
-
-
-def tone_spans(records: Iterable[dict], duration: int) -> list[tuple[int, int]]:
-    """Intervals during which at least one tone was asserted."""
-    tone = _ToneLevel()
-    for rec in records:
-        kind = rec["kind"]
-        if kind == "tone_on" or kind == "tone_off":
-            tone.add(kind, rec["t"])
-    return tone.spans_until(duration)
+def tone_spans(trace: Trace, duration: int) -> list[tuple[int, int]]:
+    """Intervals with at least one tone asserted; one still open ends at duration."""
+    if trace.tone_open is None:
+        return trace.spans
+    return trace.spans + [(trace.tone_open, duration)]
 
 
 def union_measure(intervals: list[tuple[int, int]], lo: int, hi: int) -> int:
@@ -179,25 +187,9 @@ def scan_trace(lines: Iterable[str], duration: int, warmup: int,
 
     Reads lines once.  A malformed record raises ValueError naming its line.
     """
-    by_id: dict[int, TxRecord] = {}
-    tone = _ToneLevel()
-    problems: list[str] = []
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            kind = rec["kind"]
-            if kind == "tx_start" or kind == "tx_end":
-                problem = _fold_tx(by_id, rec, kind)
-                if problem is not None:
-                    problems.append(problem)
-            elif kind == "tone_on" or kind == "tone_off":
-                tone.add(kind, rec["t"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: malformed record "
-                             f"({type(exc).__name__}: {exc})") from exc
-    txs = _by_start(by_id, duration)
+    trace = load_records(lines)
+    txs = collect_transmissions(trace, duration)
+    problems = trace.problems
 
     overlapped = mark_overlaps(txs)
     for tx in txs:
@@ -218,7 +210,7 @@ def scan_trace(lines: Iterable[str], duration: int, warmup: int,
             problems.append(f"tx {tx.tx}: reported collided but overlaps nothing")
 
     # Two pointers: txs and spans are sorted by start and spans are disjoint.
-    spans = tone.spans_until(duration)
+    spans = tone_spans(trace, duration)
     first = 0  # spans before it ended before the current tx started
     for tx in txs:
         if tx.ftype != "regular-data":
@@ -251,39 +243,21 @@ def count_kinds(lines: Iterable[str]) -> dict[str, int]:
 def replay_csv_row(lines: Iterable[str], scheme: str, m: int, n: int, seed: int,
                    duration: int, warmup: int, regular_payload_bits: int) -> str:
     """Recompute a summary CSV row from the trace alone, read in one pass."""
-    open_frames: dict[str, tuple[int, str]] = {}  # frame -> (arrival, class)
-    by_id: dict[int, TxRecord] = {}
+    trace = load_records(lines)
+    if trace.problems:
+        raise ValueError(trace.problems[0])
     delays = []
     delivered = {"regular": 0, "urllc": 0}
-    dropped = {"regular": 0, "urllc": 0}
-    collided = {"regular": 0, "urllc": 0}
-    preempted = 0
     regular_bits = 0
-    for line in lines:
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        kind = rec["kind"]
-        if kind == "arrival":
-            open_frames[rec["frame"]] = (rec["t"], rec["cls"])
-        elif kind == "delivered":
-            arrived, cls = open_frames.pop(rec["frame"])
-            delivered[cls] += 1
-            if cls == "urllc":
-                if arrived >= warmup:
-                    delays.append(rec["t"] - arrived)
-            elif rec["t"] >= warmup:
-                regular_bits += regular_payload_bits
-        elif kind == "dropped":
-            dropped[open_frames.pop(rec["frame"])[1]] += 1
-        elif kind == "preempted":
-            preempted += 1
-        elif kind == "tx_start" or kind == "tx_end":
-            problem = _fold_tx(by_id, rec, kind)
-            if problem is not None:
-                raise ValueError(problem)
-
-    txs = _by_start(by_id, duration)
+    for t, arrival, cls in trace.delivered:
+        delivered[cls] += 1
+        if cls == "urllc":
+            if arrival >= warmup:
+                delays.append(t - arrival)
+        elif t >= warmup:
+            regular_bits += regular_payload_bits
+    txs = collect_transmissions(trace, duration)
+    collided = {"regular": 0, "urllc": 0}
     for tx in txs:
         if tx.outcome == "collided" and tx.ftype != "ack":
             collided[tx.ftype.split("-", 1)[0]] += 1
@@ -300,11 +274,11 @@ def replay_csv_row(lines: Iterable[str], scheme: str, m: int, n: int, seed: int,
         sim_duration=duration, warmup=warmup,
         urllc_delay_mean=mean, urllc_delay_median=median, urllc_delay_p95=p95,
         urllc_delay_p99=p99, urllc_delay_max=dmax,
-        urllc_delivered=delivered["urllc"], urllc_dropped=dropped["urllc"],
+        urllc_delivered=delivered["urllc"], urllc_dropped=trace.dropped["urllc"],
         urllc_collided=collided["urllc"],
         regular_throughput_bps=regular_bits * 1_000_000 / window,
         regular_delivered=delivered["regular"],
-        regular_dropped=dropped["regular"], regular_preempted=preempted,
+        regular_dropped=trace.dropped["regular"], regular_preempted=trace.preempted,
         regular_collided=collided["regular"],
         channel_busy_fraction=busy / window))
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import pytest
 
@@ -111,8 +112,8 @@ def test_detection_delay_shifts_abort_but_not_fast_path():
     cfg = ScenarioConfig(n_regular=1, detection_delay=3,
                          sim_duration=2_000_000, warmup=0)
     res = run_single(cfg.run_config("proposed", 1, 3, trace=True))
-    from btwifi.tracecheck import load_records, scan_trace
-    recs = load_records(res.trace_lines)
+    from btwifi.tracecheck import scan_trace
+    recs = [json.loads(line) for line in res.trace_lines]
     tones = [r["t"] for r in recs if r["kind"] == "tone_on"]
     aborts = [r["t"] for r in recs if r["kind"] == "tx_end"
               and r["outcome"] == "aborted"]

@@ -1,6 +1,8 @@
 import json
 from dataclasses import replace
 
+import pytest
+
 from btwifi.cli import main
 from btwifi.config import ScenarioConfig
 from btwifi.engine import ContractViolation
@@ -198,6 +200,32 @@ def test_cli_unusable_trace_dir_exits_1(tmp_path, capsys):
         assert "Traceback" not in err
         assert not out.exists()
     assert list(blocked.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("case", ["curves dir is a file", "no out dir",
+                                  "second curve file blocked"])
+def test_cli_failed_output_write_leaves_no_outputs(case, tmp_path, capsys):
+    # The sweep and its traces succeed, then writing the summary CSV or a
+    # curve file fails: no summary, trace or curve file may be left.
+    cfg_file = tmp_path / "scenario.cfg"
+    write_quick_cfg(cfg_file, seeds="1, 2")
+    out, curves = tmp_path / "o.csv", tmp_path / "curves"
+    if case == "curves dir is a file":
+        curves.write_text("")
+    elif case == "no out dir":
+        out = tmp_path / "nodir" / "o.csv"
+    else:  # a directory where the second curve file must go
+        (curves / "regular_throughput_bps_proposed.dat").mkdir(parents=True)
+    trace_dir = tmp_path / "traces"
+    rc = main(["--config", str(cfg_file), "--out", str(out),
+               "--trace-dir", str(trace_dir), "--curves-dir", str(curves)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("simulate: cannot write output: ")
+    assert not out.exists()
+    assert list(trace_dir.iterdir()) == []
+    if case == "second curve file blocked":  # the delay curve was written
+        assert [p.name for p in curves.iterdir()] == \
+            ["regular_throughput_bps_proposed.dat"]
 
 
 def test_cli_run_failure_leaves_no_traces(monkeypatch, tmp_path):

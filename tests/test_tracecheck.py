@@ -84,12 +84,12 @@ def test_scanner_flags_wrong_end_time():
 
 
 def test_tone_spans_merge_overlapping_holders():
-    recs = [dict(t=10, kind="tone_on", sta="a", fast=True),
-            dict(t=20, kind="tone_on", sta="b", fast=False),
-            dict(t=30, kind="tone_off", sta="a", reason="delivered"),
-            dict(t=50, kind="tone_off", sta="b", reason="delivered"),
-            dict(t=70, kind="tone_on", sta="c", fast=True)]
-    assert tone_spans(recs, 100) == [(10, 50), (70, 100)]
+    lines = synthetic((10, "tone_on", dict(sta="a", fast=True)),
+                      (20, "tone_on", dict(sta="b", fast=False)),
+                      (30, "tone_off", dict(sta="a", reason="delivered")),
+                      (50, "tone_off", dict(sta="b", reason="delivered")),
+                      (70, "tone_on", dict(sta="c", fast=True)))
+    assert tone_spans(load_records(lines), 100) == [(10, 50), (70, 100)]
 
 
 def test_conservation_busy_fraction_matches_summary():
@@ -313,10 +313,16 @@ def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
     for broken, what in ((lines[k][:-5], "JSONDecodeError"),
                          (lines[k].replace('"dur":', '"d":'), "KeyError: 'dur'"),
                          (json.dumps(dict(json.loads(lines[k]), t="0")), "TypeError"),
-                         ('{"t": 5, "kind": "tone_off"}', "tone_off without")):
+                         ('{"t": 5, "kind": "tone_off"}', "tone_off without"),
+                         ('{"t": 5, "kind": "delivered", "frame": "f?"}',
+                          "KeyError: 'f?'")):
         malformed = tmp_path / "malformed.jsonl"
         malformed.write_text("\n".join(lines[:k] + [broken] + lines[k + 1:]))
         out = tracecheck_cli(str(malformed))
         assert out.returncode == 2, what
         assert f"{malformed}: line {k + 1}: malformed record" in out.stderr
         assert what in out.stderr
+        # the replay parses through the same fold, so it fails the same way
+        with pytest.raises(ValueError, match=f"^line {k + 1}: malformed record"):
+            replay_csv_row(malformed.read_text().splitlines(), "proposed", 2,
+                           3, 1, 1_000_000, 100_000, CFG.regular.payload_bits)
