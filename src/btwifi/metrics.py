@@ -10,6 +10,10 @@ Warm-up handling follows two different filters on purpose:
 The terminal counters (delivered/dropped/collided/preempted and arrivals)
 cover the whole run including warm-up so that the bookkeeping identity
 arrivals == delivered + dropped + in-flight-at-end can be asserted exactly.
+
+summarize is the only code that turns a run's counts into a RunSummary.
+tracecheck.replay_csv_row takes its counts from the trace alone and shares
+only this arithmetic with the collector.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import ContractViolation, SimTime
+
+CLASSES = ("regular", "urllc")  # the traffic classes, each counted apart
 
 
 def nearest_rank(sorted_samples: list, pct: int):
@@ -64,10 +70,10 @@ class MetricsCollector:
             raise ValueError("need 0 <= warmup < duration")
         self.warmup = warmup
         self.duration = duration
-        self.arrivals = {"regular": 0, "urllc": 0}
-        self.delivered = {"regular": 0, "urllc": 0}
-        self.dropped = {"regular": 0, "urllc": 0}
-        self.collided = {"regular": 0, "urllc": 0}
+        self.arrivals = dict.fromkeys(CLASSES, 0)
+        self.delivered = dict.fromkeys(CLASSES, 0)
+        self.dropped = dict.fromkeys(CLASSES, 0)
+        self.collided = dict.fromkeys(CLASSES, 0)
         self.preempted = 0
         self.per_sta_delivered: dict[str, int] = {}
         self.urllc_delays: list[int] = []
@@ -122,40 +128,38 @@ class MetricsCollector:
                  in_flight: dict[str, int]) -> RunSummary:
         if self._busy_since is not None:
             self.on_main_idle(self.duration)
-        for cls in ("regular", "urllc"):
+        for cls in CLASSES:
             total = self.delivered[cls] + self.dropped[cls] + in_flight.get(cls, 0)
             if total != self.arrivals[cls]:
                 raise ContractViolation(
                     f"{cls} frame accounting broken: {total} != {self.arrivals[cls]}")
-        window = self.duration - self.warmup
-        samples = sorted(self.urllc_delays)
-        if samples:
-            mean = sum(samples) / len(samples)
-            median = nearest_rank(samples, 50)
-            p95 = nearest_rank(samples, 95)
-            p99 = nearest_rank(samples, 99)
-            dmax = samples[-1]
-        else:
-            mean = median = p95 = p99 = dmax = None
-        return RunSummary(
-            scheme=scheme,
-            m_urllc=m_urllc,
-            n_regular=n_regular,
-            seed=seed,
-            sim_duration=self.duration,
-            warmup=self.warmup,
-            urllc_delay_mean=mean,
-            urllc_delay_median=median,
-            urllc_delay_p95=p95,
-            urllc_delay_p99=p99,
-            urllc_delay_max=dmax,
-            urllc_delivered=self.delivered["urllc"],
-            urllc_dropped=self.dropped["urllc"],
-            urllc_collided=self.collided["urllc"],
-            regular_throughput_bps=self.regular_bits * 1_000_000 / window,
-            regular_delivered=self.delivered["regular"],
-            regular_dropped=self.dropped["regular"],
-            regular_preempted=self.preempted,
-            regular_collided=self.collided["regular"],
-            channel_busy_fraction=self._busy_in_window / window,
-        )
+        return summarize(scheme, m_urllc, n_regular, seed, self.duration,
+                         self.warmup, self.urllc_delays, self.delivered,
+                         self.dropped, self.collided, self.preempted,
+                         self.regular_bits, self._busy_in_window)
+
+
+def summarize(scheme: str, m: int, n: int, seed: int, duration: SimTime,
+              warmup: SimTime, delays: list[int], delivered: dict[str, int],
+              dropped: dict[str, int], collided: dict[str, int], preempted: int,
+              regular_bits: int, busy: SimTime) -> RunSummary:
+    """The one RunSummary builder: per-class counts keyed by CLASSES, URLLC
+    delays in any order, regular bits and busy time inside [warmup, duration)."""
+    window = duration - warmup
+    samples = sorted(delays)
+    if samples:
+        mean = sum(samples) / len(samples)
+        median, p95, p99, dmax = (nearest_rank(samples, p) for p in (50, 95, 99, 100))
+    else:
+        mean = median = p95 = p99 = dmax = None
+    return RunSummary(
+        scheme=scheme, m_urllc=m, n_regular=n, seed=seed,
+        sim_duration=duration, warmup=warmup,
+        urllc_delay_mean=mean, urllc_delay_median=median, urllc_delay_p95=p95,
+        urllc_delay_p99=p99, urllc_delay_max=dmax,
+        urllc_delivered=delivered["urllc"], urllc_dropped=dropped["urllc"],
+        urllc_collided=collided["urllc"],
+        regular_throughput_bps=regular_bits * 1_000_000 / window,
+        regular_delivered=delivered["regular"], regular_dropped=dropped["regular"],
+        regular_preempted=preempted, regular_collided=collided["regular"],
+        channel_busy_fraction=busy / window)

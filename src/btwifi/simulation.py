@@ -13,7 +13,7 @@ from typing import Optional
 from .engine import Engine, RngStream, SimTime
 from .mac import EdcaParams, PhyConstants, Station
 from .medium import Medium
-from .metrics import MetricsCollector, RunSummary
+from .metrics import CLASSES, MetricsCollector, RunSummary
 from .trace import Tracer
 from .traffic import ExpAfterSuccessSource, SaturatedSource
 from .urllc import UrllcStation
@@ -76,7 +76,7 @@ def run_single(cfg: RunConfig) -> RunResult:
 
     engine.run_until(cfg.sim_duration)
 
-    in_flight = {"regular": 0, "urllc": 0}
+    in_flight = dict.fromkeys(CLASSES, 0)
     for sta in stations:
         if sta.head is not None:
             in_flight[sta.traffic_class] += 1

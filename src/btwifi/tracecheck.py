@@ -11,7 +11,9 @@ lines once, one record at a time, into a Trace of compact state: one
 TxRecord per transmission, the tone spans, the delivered frames and the
 drop and preemption counts.  Any malformed record raises a ValueError that
 names its line.  scan_trace and replay_csv_row are load_records plus their
-own checks or arithmetic.  count_kinds keeps its own loop: it reads only
+own checks or counts.  The replay takes every count from the trace and
+shares with the simulator only metrics.summarize, which turns counts into a
+RunSummary.  count_kinds keeps its own loop: it reads only
 `kind`, and folding every record costs more than that.  The tone check is a
 two-pointer sweep over the transmissions and the tone spans, both sorted by
 start, so an audit takes O(n log n) time in the number of records.
@@ -31,12 +33,21 @@ from __future__ import annotations
 import heapq
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .config import ScenarioConfig, parse_config
-from .metrics import RunSummary, nearest_rank
+from .medium import ABORTED, CLEAN, COLLIDED
+from .metrics import CLASSES, summarize
 from .sweep import summary_row
+
+
+# Each allowed value maps to itself, so one lookup both checks a value and
+# returns a shared copy of it: json.loads makes a new string per record, and
+# one kept per transmission would double its size.
+_FTYPES = {f: f for f in [f"{cls}-data" for cls in CLASSES] + ["ack"]}
+_OUTCOMES = {o: o for o in (CLEAN, COLLIDED, ABORTED)}
+_CLASSES = {cls: cls for cls in CLASSES}
 
 
 @dataclass(slots=True)
@@ -66,7 +77,8 @@ def load_records(lines: Iterable[str]) -> Trace:
 
     A malformed record raises ValueError naming its line.  That includes a
     tone_off without a tone_on, a tone span that starts before the one
-    before it ended, and a delivered or dropped frame that never arrived.
+    before it ended, a delivered or dropped frame that never arrived, and an
+    ftype, outcome or frame class that the simulator never writes.
     """
     txs: dict[int, TxRecord] = {}
     problems: list[str] = []
@@ -74,9 +86,7 @@ def load_records(lines: Iterable[str]) -> Trace:
     level = start = preempted = 0  # tone level and start of its span
     open_frames: dict[str, tuple[int, str]] = {}  # frame -> (arrival, class)
     delivered: list[tuple[int, int, str]] = []
-    dropped = {"regular": 0, "urllc": 0}
-    # Strings kept past their record are interned: json.loads makes a new
-    # copy of each value, and one per transmission would double its size.
+    dropped = dict.fromkeys(CLASSES, 0)
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -86,22 +96,26 @@ def load_records(lines: Iterable[str]) -> Trace:
             if type(t) is not int:
                 raise TypeError(f"{kind} needs an integer t")
             if kind == "tx_start":
-                txid, dur = rec["tx"], rec["dur"]
+                txid, dur, ftype = rec["tx"], rec["dur"], _FTYPES.get(rec["ftype"])
                 if type(dur) is not int or type(txid) is not int:
                     raise TypeError("tx_start needs integer tx and dur")
-                txs[txid] = TxRecord(txid, sys.intern(rec["ftype"]), t, t + dur)
+                if ftype is None:
+                    raise ValueError(f"unknown ftype {rec['ftype']!r}")
+                txs[txid] = TxRecord(txid, ftype, t, t + dur)
             elif kind == "tx_end":
-                tx = txs.get(rec["tx"])
+                tx, outcome = txs.get(rec["tx"]), _OUTCOMES.get(rec["outcome"])
+                if outcome is None:
+                    raise ValueError(f"unknown outcome {rec['outcome']!r}")
                 if tx is None:
                     problems.append(f"tx {rec['tx']}: tx_end without tx_start")
                 else:
                     tx.end = t
-                    tx.outcome = sys.intern(rec["outcome"])
+                    tx.outcome = outcome
             elif kind == "arrival":
-                cls = rec["cls"]
-                if cls not in dropped:
-                    raise ValueError(f"unknown frame class {cls!r}")
-                open_frames[rec["frame"]] = (t, sys.intern(cls))
+                cls = _CLASSES.get(rec["cls"])
+                if cls is None:
+                    raise ValueError(f"unknown frame class {rec['cls']!r}")
+                open_frames[rec["frame"]] = (t, cls)
             elif kind == "delivered":
                 arrival, cls = open_frames.pop(rec["frame"])
                 delivered.append((t, arrival, cls))
@@ -131,11 +145,13 @@ def load_records(lines: Iterable[str]) -> Trace:
 
 
 def collect_transmissions(trace: Trace, duration: int) -> list[TxRecord]:
-    """The transmissions sorted by start; one still in flight ends at duration."""
-    for tx in trace.txs.values():
-        if tx.end is None:
-            tx.end = min(tx.scheduled_end, duration)
-    return sorted(trace.txs.values(), key=lambda tx: (tx.start, tx.tx))
+    """The transmissions sorted by start; one still in flight ends at duration,
+    in a new record, so the Trace is left unchanged."""
+    txs = [tx if tx.end is not None
+           else replace(tx, end=min(tx.scheduled_end, duration))
+           for tx in trace.txs.values()]
+    txs.sort(key=lambda tx: (tx.start, tx.tx))
+    return txs
 
 
 def tone_spans(trace: Trace, duration: int) -> list[tuple[int, int]]:
@@ -148,22 +164,12 @@ def tone_spans(trace: Trace, duration: int) -> list[tuple[int, int]]:
 def union_measure(intervals: list[tuple[int, int]], lo: int, hi: int) -> int:
     """Measure of the union of intervals clipped to [lo, hi)."""
     total = 0
-    cur_s = cur_e = None
+    reach = lo  # [lo, reach) holds everything counted so far
     for s, e in sorted(intervals):
-        s = max(s, lo)
-        e = min(e, hi)
-        if e <= s:
-            continue
-        if cur_e is None:
-            cur_s, cur_e = s, e
-        elif s <= cur_e:
-            if e > cur_e:
-                cur_e = e
-        else:
-            total += cur_e - cur_s
-            cur_s, cur_e = s, e
-    if cur_e is not None:
-        total += cur_e - cur_s
+        s, e = max(s, reach), min(e, hi)
+        if e > s:
+            total += e - s
+            reach = e
     return total
 
 
@@ -195,7 +201,7 @@ def scan_trace(lines: Iterable[str], duration: int, warmup: int,
     for tx in txs:
         if tx.outcome is None:
             continue  # in flight at sim end; no outcome to check
-        if tx.outcome == "aborted":
+        if tx.outcome == ABORTED:
             if tx.ftype != "regular-data":
                 problems.append(f"tx {tx.tx}: {tx.ftype} must never be preempted")
             if not tx.start <= tx.end <= tx.scheduled_end:
@@ -204,9 +210,9 @@ def scan_trace(lines: Iterable[str], duration: int, warmup: int,
         if tx.end != tx.scheduled_end:
             problems.append(f"tx {tx.tx}: ended at {tx.end}, scheduled {tx.scheduled_end}")
         hit = tx.tx in overlapped
-        if tx.outcome == "clean" and hit:
+        if tx.outcome == CLEAN and hit:
             problems.append(f"tx {tx.tx}: reported clean but overlaps another transmission")
-        elif tx.outcome == "collided" and not hit:
+        elif tx.outcome == COLLIDED and not hit:
             problems.append(f"tx {tx.tx}: reported collided but overlaps nothing")
 
     # Two pointers: txs and spans are sorted by start and spans are disjoint.
@@ -242,12 +248,13 @@ def count_kinds(lines: Iterable[str]) -> dict[str, int]:
 
 def replay_csv_row(lines: Iterable[str], scheme: str, m: int, n: int, seed: int,
                    duration: int, warmup: int, regular_payload_bits: int) -> str:
-    """Recompute a summary CSV row from the trace alone, read in one pass."""
+    """Recompute a summary CSV row from the trace's own counts, read in one
+    pass; only metrics.summarize's arithmetic is shared with the simulator."""
     trace = load_records(lines)
     if trace.problems:
         raise ValueError(trace.problems[0])
     delays = []
-    delivered = {"regular": 0, "urllc": 0}
+    delivered = dict.fromkeys(CLASSES, 0)
     regular_bits = 0
     for t, arrival, cls in trace.delivered:
         delivered[cls] += 1
@@ -257,30 +264,14 @@ def replay_csv_row(lines: Iterable[str], scheme: str, m: int, n: int, seed: int,
         elif t >= warmup:
             regular_bits += regular_payload_bits
     txs = collect_transmissions(trace, duration)
-    collided = {"regular": 0, "urllc": 0}
+    collided = dict.fromkeys(CLASSES, 0)
     for tx in txs:
-        if tx.outcome == "collided" and tx.ftype != "ack":
+        if tx.outcome == COLLIDED and tx.ftype != "ack":
             collided[tx.ftype.split("-", 1)[0]] += 1
     busy = union_measure([(tx.start, tx.end) for tx in txs], warmup, duration)
-    window = duration - warmup
-    delays.sort()
-    if delays:
-        mean = sum(delays) / len(delays)
-        median, p95, p99, dmax = (nearest_rank(delays, p) for p in (50, 95, 99, 100))
-    else:
-        mean = median = p95 = p99 = dmax = None
-    return summary_row(RunSummary(
-        scheme=scheme, m_urllc=m, n_regular=n, seed=seed,
-        sim_duration=duration, warmup=warmup,
-        urllc_delay_mean=mean, urllc_delay_median=median, urllc_delay_p95=p95,
-        urllc_delay_p99=p99, urllc_delay_max=dmax,
-        urllc_delivered=delivered["urllc"], urllc_dropped=trace.dropped["urllc"],
-        urllc_collided=collided["urllc"],
-        regular_throughput_bps=regular_bits * 1_000_000 / window,
-        regular_delivered=delivered["regular"],
-        regular_dropped=trace.dropped["regular"], regular_preempted=trace.preempted,
-        regular_collided=collided["regular"],
-        channel_busy_fraction=busy / window))
+    return summary_row(summarize(scheme, m, n, seed, duration, warmup, delays,
+                                 delivered, trace.dropped, collided,
+                                 trace.preempted, regular_bits, busy))
 
 
 def main(argv=None) -> int:

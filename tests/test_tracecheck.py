@@ -251,6 +251,14 @@ def test_tx_end_without_tx_start_is_a_problem_not_a_crash():
     assert scan_trace(lines, 1000, 0) == ["tx 7: tx_end without tx_start"]
 
 
+def test_collect_transmissions_leaves_the_trace_unchanged():
+    trace = load_records(synthetic(
+        (0, "tx_start", dict(sta="r", tx=1, ftype="regular-data", dur=50))))
+    assert [tx.end for tx in collect_transmissions(trace, 20)] == [20]
+    assert [tx.end for tx in collect_transmissions(trace, 100)] == [50]
+    assert trace.txs[1].end is None
+
+
 # -- command line ---------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -310,19 +318,24 @@ def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
 
     lines = clean.read_text().splitlines()
     k = next(k for k, line in enumerate(lines) if '"tx_start"' in line)
-    for broken, what in ((lines[k][:-5], "JSONDecodeError"),
-                         (lines[k].replace('"dur":', '"d":'), "KeyError: 'dur'"),
-                         (json.dumps(dict(json.loads(lines[k]), t="0")), "TypeError"),
-                         ('{"t": 5, "kind": "tone_off"}', "tone_off without"),
-                         ('{"t": 5, "kind": "delivered", "frame": "f?"}',
-                          "KeyError: 'f?'")):
+    j = next(j for j, line in enumerate(lines) if '"tx_end"' in line)
+    for i, broken, what in (
+            (k, lines[k][:-5], "JSONDecodeError"),
+            (k, lines[k].replace('"dur":', '"d":'), "KeyError: 'dur'"),
+            (k, json.dumps(dict(json.loads(lines[k]), t="0")), "TypeError"),
+            (k, '{"t": 5, "kind": "tone_off"}', "tone_off without"),
+            (k, '{"t": 5, "kind": "delivered", "frame": "f?"}', "KeyError: 'f?'"),
+            (k, json.dumps(dict(json.loads(lines[k]), ftype="beacon")),
+             "unknown ftype 'beacon'"),
+            (j, json.dumps(dict(json.loads(lines[j]), outcome="weird")),
+             "unknown outcome 'weird'")):
         malformed = tmp_path / "malformed.jsonl"
-        malformed.write_text("\n".join(lines[:k] + [broken] + lines[k + 1:]))
+        malformed.write_text("\n".join(lines[:i] + [broken] + lines[i + 1:]))
         out = tracecheck_cli(str(malformed))
         assert out.returncode == 2, what
-        assert f"{malformed}: line {k + 1}: malformed record" in out.stderr
+        assert f"{malformed}: line {i + 1}: malformed record" in out.stderr
         assert what in out.stderr
         # the replay parses through the same fold, so it fails the same way
-        with pytest.raises(ValueError, match=f"^line {k + 1}: malformed record"):
+        with pytest.raises(ValueError, match=f"^line {i + 1}: malformed record"):
             replay_csv_row(malformed.read_text().splitlines(), "proposed", 2,
                            3, 1, 1_000_000, 100_000, CFG.regular.payload_bits)
