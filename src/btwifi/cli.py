@@ -17,7 +17,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import SCHEMES, ConfigError, ScenarioConfig, parse_config, validate
+from .config import SCHEMES, ConfigError, ScenarioConfig, read_scenario, validate
 from .sweep import SweepError, write_outputs
 
 
@@ -46,11 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_scenario(args: argparse.Namespace) -> ScenarioConfig:
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-    else:
-        cfg = ScenarioConfig()
+    cfg = read_scenario(args.config)
     overrides = {}
     if args.scheme is not None:
         overrides["schemes"] = (args.scheme,)

@@ -14,15 +14,17 @@ run the same grid point twice.  So is setting a key twice in one section
 (headers may repeat), which would otherwise silently keep the last value.
 
 Sections and keys are listed in SCHEMA below; an empty file yields the
-full default scenario.  Parsing validates everything it can and reports
-all problems at once, each with its line number.
+full default scenario.  A SCHEMA row's parser checks its key's own range;
+validate's cross-value rules run once every line is valid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 from .mac import EdcaParams, PhyConstants
+from .metrics import CLASSES
 from .simulation import SCHEMES, RunConfig
 
 # One regular data frame may occupy the air for at most ~5 ms.
@@ -66,59 +68,73 @@ class ConfigError(ValueError):
             f"line {line}: {msg}" if line else msg for line, msg in problems))
 
 
-def _no_repeats(values: tuple) -> tuple:
-    for i, v in enumerate(values):
-        if v in values[:i]:
-            raise ValueError(f"{v!r} is listed twice")
-    return values
+def _int(lo: int, hi: Optional[int] = None):
+    """A parser for an integer in [lo, hi] (no upper bound if hi is None)."""
+    def parse(text: str) -> int:
+        v = int(text)
+        if v < lo:
+            raise ValueError(f"must be >= {lo} (got {v})")
+        if hi is not None and v > hi:
+            raise ValueError(f"must be <= {hi} (got {v})")
+        return v
+    return parse
 
 
-def _parse_int_list(text: str) -> tuple:
-    return _no_repeats(tuple(int(part.strip()) for part in text.split(",")))
+def _cw(text: str) -> int:
+    v = int(text)
+    if v < 0 or (v + 1) & v:
+        raise ValueError(f"must be of the form 2^k - 1 (got {v})")
+    return v
 
 
-def _parse_schemes(text: str) -> tuple:
-    out = tuple(part.strip() for part in text.split(","))
-    for s in out:
-        if s not in SCHEMES:
-            raise ValueError(f"unknown scheme {s!r} (choose from {', '.join(SCHEMES)})")
-    return _no_repeats(out)
+def _scheme(text: str) -> str:
+    if text not in SCHEMES:
+        raise ValueError(f"unknown scheme {text!r} (choose from {', '.join(SCHEMES)})")
+    return text
+
+
+def _list(item):
+    """A parser for a comma-separated list of distinct items."""
+    def parse(text: str) -> tuple:
+        values = tuple(item(part.strip()) for part in text.split(","))
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"{v!r} is listed twice")
+        return values
+    return parse
 
 
 # (section, key) -> (ScenarioConfig group or None, attribute, value parser)
 SCHEMA = {
-    ("run", "n_regular"): (None, "n_regular", int),
-    ("run", "m_urllc"): (None, "m_list", _parse_int_list),
-    ("run", "schemes"): (None, "schemes", _parse_schemes),
-    ("run", "seeds"): (None, "seeds", _parse_int_list),
-    ("run", "sim_duration_us"): (None, "sim_duration", int),
-    ("run", "warmup_us"): (None, "warmup", int),
-    ("phy", "slot_us"): ("phy", "slot_time", int),
-    ("phy", "sifs_us"): ("phy", "sifs", int),
-    ("phy", "ack_timeout_guard_us"): ("phy", "ack_timeout_guard", int),
-    ("phy", "detection_delay_us"): (None, "detection_delay", int),
-    # [regular] and [urllc] share the EDCA keys; "_us" is not in the attribute
-    **{(cls, key): (cls, key.removesuffix("_us"), int)
-       for cls in ("regular", "urllc")
-       for key in ("aifsn", "cw_min", "cw_max", "retry_limit",
-                   "data_airtime_us", "ack_airtime_us")},
-    ("regular", "payload_bits"): ("regular", "payload_bits", int),
-    ("urllc", "mean_interarrival_us"): (None, "urllc_mean_interarrival", int),
+    ("run", "n_regular"): (None, "n_regular", _int(0)),
+    ("run", "m_urllc"): (None, "m_list", _list(int)),
+    ("run", "schemes"): (None, "schemes", _list(_scheme)),
+    ("run", "seeds"): (None, "seeds", _list(int)),
+    ("run", "sim_duration_us"): (None, "sim_duration", _int(1)),
+    ("run", "warmup_us"): (None, "warmup", _int(0)),
+    ("phy", "slot_us"): ("phy", "slot_time", _int(1)),
+    ("phy", "sifs_us"): ("phy", "sifs", _int(1)),
+    ("phy", "ack_timeout_guard_us"): ("phy", "ack_timeout_guard", _int(1)),
+    ("phy", "detection_delay_us"): (None, "detection_delay", _int(0)),
+    # every class has these EDCA keys ("_us" is not in the attribute); later rows win
+    **{(cls, key): (cls, key.removesuffix("_us"), parser)
+       for cls in CLASSES
+       for key, parser in (("aifsn", _int(2)), ("cw_min", _cw), ("cw_max", _cw),
+                           ("retry_limit", _int(0)), ("data_airtime_us", _int(1)),
+                           ("ack_airtime_us", _int(1)))},
+    ("regular", "data_airtime_us"): ("regular", "data_airtime",
+                                     _int(1, MAX_REGULAR_AIRTIME_US)),
+    ("regular", "payload_bits"): ("regular", "payload_bits", _int(0)),
+    ("urllc", "mean_interarrival_us"): (None, "urllc_mean_interarrival", _int(1)),
 }
 
 SECTIONS = sorted({section for section, _ in SCHEMA})
 
 
-def _is_cw_shape(v: int) -> bool:
-    # contention windows must look like 2^k - 1
-    return v >= 0 and (v + 1) & v == 0
-
-
 def validate(cfg: ScenarioConfig) -> list[str]:
-    """Cross-field checks; returns human-readable problems (empty if ok)."""
+    """Problems no one key shows: rules that tie two values together, and
+    rules on the grid that --scheme/--m/--seed narrow (empty if ok)."""
     bad = []
-    if cfg.n_regular < 0:
-        bad.append("n_regular must be >= 0")
     if not cfg.m_list:
         bad.append("m_urllc list must not be empty")
     for m in cfg.m_list:
@@ -130,35 +146,16 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         bad.append("schemes must not be empty")
     if not cfg.seeds:
         bad.append("seeds must not be empty")
-    if cfg.sim_duration < 1:
-        bad.append("sim_duration_us must be >= 1")
-    if not 0 <= cfg.warmup < cfg.sim_duration:
-        bad.append("warmup_us must satisfy 0 <= warmup < sim_duration")
-    for name in ("slot_time", "sifs", "ack_timeout_guard"):
-        if getattr(cfg.phy, name) < 1:
-            bad.append(f"{name} must be strictly positive")
-    if cfg.detection_delay < 0:
-        bad.append("detection_delay_us must be >= 0")
-    if cfg.regular.data_airtime > MAX_REGULAR_AIRTIME_US:
-        bad.append(f"regular data_airtime_us {cfg.regular.data_airtime} exceeds "
-                   f"the ~5 ms airtime bound ({MAX_REGULAR_AIRTIME_US} us)")
-    for cls, p in (("regular", cfg.regular), ("urllc", cfg.urllc)):
-        if p.aifsn < 2:
-            bad.append(f"{cls} aifsn must be >= 2")
-        if not _is_cw_shape(p.cw_min) or not _is_cw_shape(p.cw_max):
-            bad.append(f"{cls} cw_min/cw_max must be of the form 2^k - 1")
+    if cfg.warmup >= cfg.sim_duration:
+        bad.append("warmup_us must be less than sim_duration_us")
+    for cls in CLASSES:
+        p = getattr(cfg, cls)
         if p.cw_min > p.cw_max:
             bad.append(f"{cls} cw_min must be <= cw_max")
-        if p.retry_limit < 0:
-            bad.append(f"{cls} retry_limit must be >= 0")
-        if p.data_airtime < 1:
-            bad.append(f"{cls} data_airtime_us must be >= 1")
-        if p.ack_airtime < 1:
-            bad.append(f"{cls} ack_airtime_us must be >= 1")
-        if p.payload_bits < 0:
-            bad.append(f"{cls} payload_bits must be >= 0")
-    if cfg.urllc_mean_interarrival < 1:
-        bad.append("urllc mean_interarrival_us must be >= 1")
+        # A clean frame no longer than SIFS fits between another clean frame
+        # and its ack, and the AP would owe two overlapping acks.
+        if p.data_airtime <= cfg.phy.sifs:
+            bad.append(f"{cls} data_airtime_us must exceed sifs_us")
     return bad
 
 
@@ -205,7 +202,16 @@ def parse_config(text: str) -> ScenarioConfig:
     cfg = replace(ScenarioConfig(), **values.pop(None, {}))
     cfg = replace(cfg, **{group: replace(getattr(cfg, group), **attrs)
                           for group, attrs in values.items()})
-    problems.extend((0, msg) for msg in validate(cfg))
+    if not problems:  # else a rule may judge a default that replaced a bad value
+        problems.extend((0, msg) for msg in validate(cfg))
     if problems:
         raise ConfigError(problems)
     return cfg
+
+
+def read_scenario(path: Optional[str]) -> ScenarioConfig:
+    """The scenario in the file at path, or the defaults when path is None."""
+    if path is None:
+        return ScenarioConfig()
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_config(fh.read())

@@ -9,14 +9,14 @@ cannot see.
 load_records is the only place a trace record is parsed.  It reads its
 lines once, one record at a time, into a Trace of compact state: one
 TxRecord per transmission, the tone spans, the delivered frames and the
-drop and preemption counts.  Any malformed record raises a ValueError that
-names its line.  scan_trace and replay_csv_row are load_records plus their
-own checks or counts.  The replay takes every count from the trace and
-shares with the simulator only metrics.summarize, which turns counts into a
-RunSummary.  count_kinds keeps its own loop: it reads only
-`kind`, and folding every record costs more than that.  The tone check is a
-two-pointer sweep over the transmissions and the tone spans, both sorted by
-start, so an audit takes O(n log n) time in the number of records.
+drop and preemption counts.  Any malformed record, a tx_end without its
+tx_start included, raises a ValueError that names its line.  scan_trace and
+replay_csv_row are load_records plus their own checks or counts.  The replay
+takes every count from the trace and shares with the simulator only
+metrics.summarize, which turns counts into a RunSummary.  count_kinds reads
+only `kind`, in a cheaper loop of its own, and fails the same way.  The tone
+check is a two-pointer sweep over the transmissions and the tone spans, both
+sorted by start, so an audit takes O(n log n) time in the number of records.
 
 Command line:
 
@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .config import ScenarioConfig, parse_config
+from .config import read_scenario
 from .medium import ABORTED, CLEAN, COLLIDED
 from .metrics import CLASSES, summarize
 from .sweep import summary_row
@@ -64,7 +64,6 @@ class TxRecord:
 class Trace:
     """One trace folded by load_records: all that the audits read of it."""
     txs: dict[int, TxRecord]  # by tx id
-    problems: list[str]  # tx_end without tx_start, in trace order
     spans: list[tuple[int, int]]  # closed tone spans, sorted and disjoint
     tone_open: Optional[int]  # start of a tone span still open at the end
     delivered: list[tuple[int, int, str]]  # (t, arrival, class) per frame
@@ -72,16 +71,21 @@ class Trace:
     preempted: int
 
 
+def _malformed(lineno: int, exc: Exception) -> ValueError:
+    return ValueError(f"line {lineno}: malformed record "
+                      f"({type(exc).__name__}: {exc})")
+
+
 def load_records(lines: Iterable[str]) -> Trace:
     """Fold a trace into a Trace, reading lines once.
 
     A malformed record raises ValueError naming its line.  That includes a
-    tone_off without a tone_on, a tone span that starts before the one
-    before it ended, a delivered or dropped frame that never arrived, and an
-    ftype, outcome or frame class that the simulator never writes.
+    tx_end without a tx_start, a tone_off without a tone_on, a tone span
+    that starts before the one before it ended, a delivered or dropped frame
+    that never arrived, and an ftype, outcome or frame class that the
+    simulator never writes.
     """
     txs: dict[int, TxRecord] = {}
-    problems: list[str] = []
     spans: list[tuple[int, int]] = []
     level = start = preempted = 0  # tone level and start of its span
     open_frames: dict[str, tuple[int, str]] = {}  # frame -> (arrival, class)
@@ -103,14 +107,11 @@ def load_records(lines: Iterable[str]) -> Trace:
                     raise ValueError(f"unknown ftype {rec['ftype']!r}")
                 txs[txid] = TxRecord(txid, ftype, t, t + dur)
             elif kind == "tx_end":
-                tx, outcome = txs.get(rec["tx"]), _OUTCOMES.get(rec["outcome"])
+                tx, outcome = txs[rec["tx"]], _OUTCOMES.get(rec["outcome"])
                 if outcome is None:
                     raise ValueError(f"unknown outcome {rec['outcome']!r}")
-                if tx is None:
-                    problems.append(f"tx {rec['tx']}: tx_end without tx_start")
-                else:
-                    tx.end = t
-                    tx.outcome = outcome
+                tx.end = t
+                tx.outcome = outcome
             elif kind == "arrival":
                 cls = _CLASSES.get(rec["cls"])
                 if cls is None:
@@ -138,9 +139,8 @@ def load_records(lines: Iterable[str]) -> Trace:
             elif kind == "preempted":
                 preempted += 1
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: malformed record "
-                             f"({type(exc).__name__}: {exc})") from exc
-    return Trace(txs, problems, spans, start if level else None, delivered,
+            raise _malformed(lineno, exc) from exc
+    return Trace(txs, spans, start if level else None, delivered,
                  dropped, preempted)
 
 
@@ -195,7 +195,7 @@ def scan_trace(lines: Iterable[str], duration: int, warmup: int,
     """
     trace = load_records(lines)
     txs = collect_transmissions(trace, duration)
-    problems = trace.problems
+    problems: list[str] = []
 
     overlapped = mark_overlaps(txs)
     for tx in txs:
@@ -239,10 +239,13 @@ def scan_trace(lines: Iterable[str], duration: int, warmup: int,
 
 def count_kinds(lines: Iterable[str]) -> dict[str, int]:
     counts: dict[str, int] = {}
-    for line in lines:
+    for lineno, line in enumerate(lines, 1):
         if line.strip():
-            kind = json.loads(line)["kind"]
-            counts[kind] = counts.get(kind, 0) + 1
+            try:
+                kind = json.loads(line)["kind"]
+                counts[kind] = counts.get(kind, 0) + 1
+            except (KeyError, TypeError, ValueError) as exc:
+                raise _malformed(lineno, exc) from exc
     return counts
 
 
@@ -251,8 +254,6 @@ def replay_csv_row(lines: Iterable[str], scheme: str, m: int, n: int, seed: int,
     """Recompute a summary CSV row from the trace's own counts, read in one
     pass; only metrics.summarize's arithmetic is shared with the simulator."""
     trace = load_records(lines)
-    if trace.problems:
-        raise ValueError(trace.problems[0])
     delays = []
     delivered = dict.fromkeys(CLASSES, 0)
     regular_bits = 0
@@ -288,11 +289,7 @@ def main(argv=None) -> int:
     p.add_argument("traces", nargs="+", metavar="TRACE", help="JSONL trace file")
     args = p.parse_args(argv)
     try:
-        if args.config is None:
-            cfg = ScenarioConfig()
-        else:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = parse_config(fh.read())
+        cfg = read_scenario(args.config)
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"tracecheck: config error: {exc}", file=sys.stderr)
         return 2

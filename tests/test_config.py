@@ -1,11 +1,9 @@
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from btwifi.cli import main
-from btwifi.config import (ConfigError, ScenarioConfig, parse_config,
-                           validate)
+from btwifi.config import ConfigError, ScenarioConfig, parse_config
 
 
 def test_empty_file_yields_full_defaults():
@@ -56,7 +54,27 @@ def test_full_file_round_trip():
 def test_overlong_regular_airtime_is_rejected_with_bound():
     with pytest.raises(ConfigError) as exc:
         parse_config("[regular]\ndata_airtime_us = 6000\n")
-    assert "5 ms" in str(exc.value)
+    assert str(exc.value) == ("line 2: bad value for 'data_airtime_us': "
+                              "must be <= 5484 (got 6000)")
+    assert parse_config("[regular]\ndata_airtime_us = 5484\n") \
+        .regular.data_airtime == 5484
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("run", "n_regular", -1), ("run", "sim_duration_us", 0),
+    ("run", "warmup_us", -1),
+    ("phy", "slot_us", 0), ("phy", "sifs_us", 0),
+    ("phy", "ack_timeout_guard_us", 0), ("phy", "detection_delay_us", -1),
+    ("urllc", "aifsn", 1), ("urllc", "cw_min", 12), ("urllc", "cw_max", 1000),
+    ("urllc", "retry_limit", -1), ("urllc", "ack_airtime_us", 0),
+    ("regular", "data_airtime_us", 0), ("regular", "data_airtime_us", 6000),
+    ("regular", "payload_bits", -1), ("urllc", "mean_interarrival_us", 0),
+])
+def test_a_value_out_of_its_range_is_reported_on_its_line(section, key, value):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"[{section}]\n{key} = {value}\n")
+    (line, msg), = exc.value.problems
+    assert line == 2 and msg.startswith(f"bad value for {key!r}: ")
 
 
 def test_all_problems_reported_at_once_with_line_numbers():
@@ -129,21 +147,50 @@ def test_unknown_scheme_is_rejected():
 def test_warmup_must_precede_duration():
     with pytest.raises(ConfigError):
         parse_config("[run]\nsim_duration_us = 1000\nwarmup_us = 1000\n")
+    # the rule is not judged against the default that replaced a bad warmup
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[run]\nsim_duration_us = 1000\nwarmup_us = -1\n")
+    assert [line for line, _ in exc.value.problems] == [3]
 
 
 def test_cw_shape_validation():
-    d = ScenarioConfig()
-    assert validate(replace(d, regular=replace(d.regular, cw_min=15))) == []
-    assert any("2^k" in p
-               for p in validate(replace(d, regular=replace(d.regular, cw_min=10))))
-    assert any("cw_min must be <=" in p
-               for p in validate(replace(d, urllc=replace(d.urllc, cw_min=15, cw_max=7))))
+    assert parse_config("[regular]\ncw_min = 15\n").regular.cw_min == 15
+    assert parse_config("[regular]\ncw_min = 0\n").regular.cw_min == 0
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[regular]\ncw_min = 10\n")
+    assert "line 2: bad value for 'cw_min': must be of the form 2^k - 1" \
+        in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[urllc]\ncw_min = 15\ncw_max = 7\n")
+    assert str(exc.value) == "urllc cw_min must be <= cw_max"
 
 
 def test_aifsn_lower_bound():
-    d = ScenarioConfig()
-    assert any("aifsn" in p
-               for p in validate(replace(d, regular=replace(d.regular, aifsn=1))))
+    assert parse_config("[regular]\naifsn = 2\n").regular.aifsn == 2
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[regular]\naifsn = 1\n")
+    assert str(exc.value) == "line 2: bad value for 'aifsn': must be >= 2 (got 1)"
+
+
+@pytest.mark.parametrize("section", ["regular", "urllc"])
+def test_data_airtime_must_exceed_sifs(section):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"[phy]\nsifs_us = 16\n[{section}]\ndata_airtime_us = 16\n")
+    assert str(exc.value) == f"{section} data_airtime_us must exceed sifs_us"
+    cfg = parse_config(f"[phy]\nsifs_us = 16\n[{section}]\ndata_airtime_us = 17\n")
+    assert getattr(cfg, section).data_airtime == 17
+
+
+def test_a_frame_shorter_than_sifs_exits_1_instead_of_failing_its_run(tmp_path):
+    cfg_file = tmp_path / "short_urllc.cfg"
+    cfg_file.write_text(
+        "[run]\nschemes = proposed\nm_urllc = 5\nseeds = 2\n"
+        "sim_duration_us = 2000000\nwarmup_us = 100000\n"
+        "[phy]\ndetection_delay_us = 30\n[urllc]\ndata_airtime_us = 5\n",
+        encoding="utf-8")
+    out = tmp_path / "o.csv"
+    assert main(["--config", str(cfg_file), "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_run_config_carries_parameters_through():

@@ -245,12 +245,6 @@ def test_a_one_shot_iterator_gives_the_same_results_as_the_list():
     assert count_kinds(iter(lines)) == count_kinds(lines)
 
 
-def test_tx_end_without_tx_start_is_a_problem_not_a_crash():
-    lines = synthetic(*regular_tx(1, 50, 150, "clean"),
-                      (300, "tx_end", dict(tx=7, outcome="clean")))
-    assert scan_trace(lines, 1000, 0) == ["tx 7: tx_end without tx_start"]
-
-
 def test_collect_transmissions_leaves_the_trace_unchanged():
     trace = load_records(synthetic(
         (0, "tx_start", dict(sta="r", tx=1, ftype="regular-data", dur=50))))
@@ -327,8 +321,11 @@ def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
             (k, '{"t": 5, "kind": "delivered", "frame": "f?"}', "KeyError: 'f?'"),
             (k, json.dumps(dict(json.loads(lines[k]), ftype="beacon")),
              "unknown ftype 'beacon'"),
+            (k, '{"t": 5, "tx": 1}', "KeyError: 'kind'"),
             (j, json.dumps(dict(json.loads(lines[j]), outcome="weird")),
-             "unknown outcome 'weird'")):
+             "unknown outcome 'weird'"),
+            (j, json.dumps(dict(json.loads(lines[j]), tx=999999)),
+             "KeyError: 999999")):
         malformed = tmp_path / "malformed.jsonl"
         malformed.write_text("\n".join(lines[:i] + [broken] + lines[i + 1:]))
         out = tracecheck_cli(str(malformed))
@@ -339,3 +336,10 @@ def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
         with pytest.raises(ValueError, match=f"^line {i + 1}: malformed record"):
             replay_csv_row(malformed.read_text().splitlines(), "proposed", 2,
                            3, 1, 1_000_000, 100_000, CFG.regular.payload_bits)
+
+    # count_kinds reads only `kind`, but names the line it cannot read
+    for broken, what in ((lines[k][:-5], "JSONDecodeError"),
+                         ('{"t": 5, "tx": 1}', "KeyError: 'kind'")):
+        with pytest.raises(ValueError,
+                           match=rf"^line {k + 1}: malformed record \({what}"):
+            count_kinds(lines[:k] + [broken] + lines[k + 1:])
