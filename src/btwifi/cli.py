@@ -5,10 +5,10 @@
              [--jobs INT] [--curves-dir DIR]
 
 --scheme/--m/--seed restrict the grid so any single CSV row can be
-reproduced in isolation.  Exit codes: 0 success, 1 configuration or output
-error (including an unusable --trace-dir), 2 a run failed; stderr names its
-grid point.  A command that exits 1 or 2 leaves no summary CSV, trace file or
-curve file behind.
+reproduced in isolation.  Exit codes: 0 success (and --help), 1 a usage,
+configuration or output error (including an unusable --trace-dir), 2 a run
+failed; stderr names its grid point.  A command that exits 1 or 2 leaves no
+summary CSV, trace file or curve file behind.
 """
 
 from __future__ import annotations
@@ -21,8 +21,15 @@ from .config import SCHEMES, ConfigError, ScenarioConfig, read_scenario, validat
 from .sweep import SweepError, write_outputs
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits 2 on a usage error, which here means a run failed
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="simulate",
         description="Run the Wi-Fi busy-tone priority-access simulator over a "
                     "(scheme x M x seed) grid and write a summary CSV.")

@@ -135,17 +135,11 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     """Problems no one key shows: rules that tie two values together, and
     rules on the grid that --scheme/--m/--seed narrow (empty if ok)."""
     bad = []
-    if not cfg.m_list:
-        bad.append("m_urllc list must not be empty")
     for m in cfg.m_list:
         if m < 0:
             bad.append(f"m_urllc entries must be >= 0 (got {m})")
         elif cfg.n_regular + m < 1:
             bad.append(f"need at least one station: n_regular + M >= 1 (M={m})")
-    if not cfg.schemes:
-        bad.append("schemes must not be empty")
-    if not cfg.seeds:
-        bad.append("seeds must not be empty")
     if cfg.warmup >= cfg.sim_duration:
         bad.append("warmup_us must be less than sim_duration_us")
     for cls in CLASSES:

@@ -25,9 +25,9 @@ Stations that obey the tone channel (regular stations when the priority
 scheme is enabled; the run wires them into ``Medium.tone_listeners``, so
 only they hear tone edges) additionally abort an ongoing transmission the
 moment the tone is detected and suspend counting for the whole tone
-duration.  A low-latency station taking the no-backoff path of the tone
-scheme is in the FAST state until its data goes on air; FAST is not WAIT,
-so main-channel edges never arm it.
+duration.  Main-channel edges arm only a ``waiting`` station, one whose
+head frame contends; a low-latency station on the no-backoff path of the
+tone scheme is not waiting, so they never arm it.
 A tone-triggered abort is not treated as a collision: the retry count and
 contention window stay unchanged and the frame simply re-contends once
 the suspension ends.
@@ -40,13 +40,6 @@ from typing import Optional
 
 from .engine import ContractViolation, RngStream, SimTime
 from .medium import ABORTED, CLEAN, COLLIDED, Medium, Transmission
-
-IDLE = "idle"
-WAIT = "wait"  # deferring or counting backoff
-FAST = "fast"  # tone scheme: data goes on air AIFS after the tone onset
-TX = "transmitting"
-AWAIT_ACK = "await_ack"
-
 
 @dataclass(frozen=True, slots=True)
 class PhyConstants:
@@ -92,7 +85,7 @@ class Station:
         self.source = None  # set after construction
 
         self.aifs_us = aifs(params, phy)
-        self.state = IDLE
+        self.waiting = False  # the head frame is contending
         self.head: Optional[Frame] = None
         self.counter = 0
         self.retry_count = 0
@@ -108,7 +101,7 @@ class Station:
             raise ContractViolation(f"{self.sta_id}: head frame overwritten")
         self.head = frame
         self.retry_count = 0
-        self.state = WAIT
+        self.waiting = True
         self.collector.on_arrival(self.engine.now, self.sta_id,
                                   self.traffic_class, frame)
         self._after_enqueue(frame)
@@ -126,7 +119,7 @@ class Station:
 
     def _try_arm(self) -> None:
         """(Re)start counting if the frame may contend right now."""
-        if (self.state != WAIT or self.suspended or self._arm_ev is not None
+        if (not self.waiting or self.suspended or self._arm_ev is not None
                 or self.medium.is_main_busy()):
             return
         self._arm_ev = self.engine.schedule(
@@ -151,7 +144,7 @@ class Station:
     def on_main_idle(self, t: SimTime) -> None:
         # Hot path (called on every busy->idle edge): inlined _try_arm minus
         # the medium-idle check, which the transition itself guarantees.
-        if self.state == WAIT and not self.suspended and self._arm_ev is None:
+        if self.waiting and not self.suspended and self._arm_ev is None:
             self._arm_ev = self.engine.schedule(
                 t + self.aifs_us + self.counter * self.phy.slot_time, self._fire_tx)
 
@@ -164,7 +157,7 @@ class Station:
             # Unlike a main-channel busy edge, a tone heard on the boundary
             # itself stops the station before it starts transmitting.
             self._freeze(ev, t)
-        if self.state == TX:
+        if self._cur_tx is not None:
             self.medium.abort_transmission(self._cur_tx, t)
 
     def on_control_idle(self, t: SimTime) -> None:
@@ -175,13 +168,12 @@ class Station:
 
     def _fire_tx(self) -> None:
         self._arm_ev = None
-        self.counter = 0
+        self.waiting = False
         self._begin_data_tx()
 
     def _begin_data_tx(self) -> None:
         now = self.engine.now
         p = self.params
-        self.state = TX
         self._cur_tx = self.medium.begin_transmission(
             self.sta_id, f"{self.traffic_class}-data", p.data_airtime,
             self._on_data_end, frame_id=self.head.frame_id)
@@ -192,10 +184,8 @@ class Station:
     def _on_data_end(self, outcome: str) -> None:
         self._cur_tx = None
         if outcome == CLEAN:
-            self.state = AWAIT_ACK
             self.engine.schedule(self.engine.now + self.phy.sifs, self._start_ack)
-        elif outcome == COLLIDED:
-            self.state = AWAIT_ACK  # no ack will come; the timeout handles it
+        elif outcome == COLLIDED:  # no ack will come; the timeout handles it
             self.collector.on_collided(self.engine.now, self.sta_id,
                                        self.traffic_class, self.head)
         else:  # ABORTED: the tone preempted us mid-frame
@@ -207,7 +197,7 @@ class Station:
             # the retry count and contention window are NOT touched - being
             # preempted is not evidence of a collision.
             self._draw_backoff()
-            self.state = WAIT
+            self.waiting = True
             self._try_arm()
 
     def _start_ack(self) -> None:
@@ -230,19 +220,17 @@ class Station:
         if self.retry_count > self.params.retry_limit:
             frame = self.head
             self.head = None
-            self.state = IDLE
             self.collector.on_dropped(self.engine.now, self.sta_id,
                                       self.traffic_class, frame)
             self._after_service(frame, "dropped")
             return
         self._draw_backoff()
-        self.state = WAIT
+        self.waiting = True
         self._try_arm()
 
     def _complete_delivered(self) -> None:
         frame = self.head
         self.head = None
-        self.state = IDLE
         self.retry_count = 0
         self.collector.on_delivered(self.engine.now, self.sta_id,
                                     self.traffic_class, frame,

@@ -104,9 +104,6 @@ class Medium:
 
     # -- tone (control) channel --------------------------------------------
 
-    def is_control_busy(self) -> bool:
-        return bool(self._tones)
-
     def tone_asserted_before(self, t: SimTime) -> bool:
         """True iff some tone was already up strictly before instant t.
 
@@ -117,25 +114,18 @@ class Medium:
         """
         return any(since < t for since in self._tones.values())
 
-    def busy_tone_set(self, sta: str, on: bool) -> str:
-        """Assert/release sta's tone; returns the channel transition."""
+    def busy_tone_set(self, sta: str, on: bool) -> None:
+        """Assert/release sta's tone.  The first assertion and the last
+        release are the control channel's busy and idle edges."""
         now = self.engine.now
         if on:
             if sta in self._tones:
                 raise ContractViolation(f"{sta} asserted its tone twice")
-            was_busy = bool(self._tones)
             self._tones[sta] = now
-            if was_busy:
-                return "none"
-            self._broadcast_control(True, now)
-            return "idle-to-busy"
-        if sta not in self._tones:
+        elif self._tones.pop(sta, None) is None:
             raise ContractViolation(f"{sta} released a tone it does not hold")
-        del self._tones[sta]
-        if self._tones:
-            return "none"
-        self._broadcast_control(False, now)
-        return "busy-to-idle"
+        if len(self._tones) == (1 if on else 0):
+            self._broadcast_control(on, now)
 
     def _broadcast_control(self, busy: bool, at: SimTime) -> None:
         if self.detection_delay == 0:

@@ -80,10 +80,11 @@ def load_records(lines: Iterable[str]) -> Trace:
     """Fold a trace into a Trace, reading lines once.
 
     A malformed record raises ValueError naming its line.  That includes a
-    tx_end without a tx_start, a tone_off without a tone_on, a tone span
-    that starts before the one before it ended, a delivered or dropped frame
-    that never arrived, and an ftype, outcome or frame class that the
-    simulator never writes.
+    tx_end without a tx_start, a tx_start or tx_end repeated for one tx id,
+    a tone_off without a tone_on, a tone span that starts before the one
+    before it ended, an arrival of a frame still open, a delivered or
+    dropped frame that never arrived, and an ftype, outcome or frame class
+    that the simulator never writes.
     """
     txs: dict[int, TxRecord] = {}
     spans: list[tuple[int, int]] = []
@@ -105,18 +106,25 @@ def load_records(lines: Iterable[str]) -> Trace:
                     raise TypeError("tx_start needs integer tx and dur")
                 if ftype is None:
                     raise ValueError(f"unknown ftype {rec['ftype']!r}")
+                if txid in txs:
+                    raise ValueError(f"tx {txid} already started")
                 txs[txid] = TxRecord(txid, ftype, t, t + dur)
             elif kind == "tx_end":
                 tx, outcome = txs[rec["tx"]], _OUTCOMES.get(rec["outcome"])
                 if outcome is None:
                     raise ValueError(f"unknown outcome {rec['outcome']!r}")
+                if tx.end is not None:
+                    raise ValueError(f"tx {tx.tx} already ended")
                 tx.end = t
                 tx.outcome = outcome
             elif kind == "arrival":
                 cls = _CLASSES.get(rec["cls"])
                 if cls is None:
                     raise ValueError(f"unknown frame class {rec['cls']!r}")
-                open_frames[rec["frame"]] = (t, cls)
+                frame = rec["frame"]
+                if frame in open_frames:
+                    raise ValueError(f"frame {frame!r} arrived while still open")
+                open_frames[frame] = (t, cls)
             elif kind == "delivered":
                 arrival, cls = open_frames.pop(rec["frame"])
                 delivered.append((t, arrival, cls))

@@ -22,7 +22,7 @@ resolved by ordinary EDCA retries while both tones stay up.
 
 from __future__ import annotations
 
-from .mac import FAST, Frame, Station
+from .mac import Frame, Station
 
 
 class UrllcStation(Station):
@@ -39,14 +39,13 @@ class UrllcStation(Station):
         if fast:
             # Sole tone holder: data goes on air AIFS after the tone onset,
             # no backoff draw at all, independent of main-channel history.
-            self.counter = 0
-            self.state = FAST
+            self.waiting = False
             self.engine.schedule(now + self.aifs_us, self._begin_data_tx)
         else:
             self._draw_backoff()
         self.collector.on_tone_on(now, self.sta_id, fast)
         # Asserting may preempt a regular transmitter and cascade busy/idle
-        # notifications; a FAST station is not armed by them.
+        # notifications; they arm only a waiting station, never the fast path.
         self.medium.busy_tone_set(self.sta_id, True)
         self._try_arm()
 

@@ -69,6 +69,8 @@ def test_overlong_regular_airtime_is_rejected_with_bound():
     ("urllc", "retry_limit", -1), ("urllc", "ack_airtime_us", 0),
     ("regular", "data_airtime_us", 0), ("regular", "data_airtime_us", 6000),
     ("regular", "payload_bits", -1), ("urllc", "mean_interarrival_us", 0),
+    # an empty grid list never reaches validate
+    ("run", "m_urllc", ""), ("run", "schemes", ""), ("run", "seeds", ","),
 ])
 def test_a_value_out_of_its_range_is_reported_on_its_line(section, key, value):
     with pytest.raises(ConfigError) as exc:

@@ -24,6 +24,16 @@ class Sink:
         self.log.append(("control-idle", t))
 
 
+def control_edges(sink):
+    return [e for e in sink.log if e[0].startswith("control")]
+
+
+def control_busy(sink):
+    """The control level as the sink heard it: busy iff its last edge was."""
+    edges = control_edges(sink)
+    return bool(edges) and edges[-1][0] == "control-busy"
+
+
 def make_medium(detection_delay=0):
     eng = Engine()
     med = Medium(eng, detection_delay, MetricsCollector(0, 10_000_000))
@@ -143,16 +153,13 @@ def test_abort_inactive_transmission_is_contract_violation():
 
 
 def test_tone_register_transitions():
+    # Only the first assertion and the last release are channel edges.
     eng, med, sink = make_medium()
-    assert med.busy_tone_set("u0", True) == "idle-to-busy"
-    assert med.is_control_busy()
-    assert med.busy_tone_set("u1", True) == "none"
-    assert med.busy_tone_set("u0", False) == "none"
-    assert med.is_control_busy()
-    assert med.busy_tone_set("u1", False) == "busy-to-idle"
-    assert not med.is_control_busy()
-    transitions = [e for e in sink.log if e[0].startswith("control")]
-    assert transitions == [("control-busy", 0), ("control-idle", 0)]
+    busy, idle = ("control-busy", 0), ("control-idle", 0)
+    for sta, on, edges in (("u0", True, [busy]), ("u1", True, [busy]),
+                           ("u0", False, [busy]), ("u1", False, [busy, idle])):
+        med.busy_tone_set(sta, on)
+        assert control_edges(sink) == edges, (sta, on)
 
 
 def test_tone_contract_violations():
@@ -190,7 +197,7 @@ def test_detection_delay_defers_control_broadcast():
 def test_busy_flags_during_priority_exchange():
     # Timeline mirroring the preemption picture: tone at 100, regular frame
     # aborted at 100, data [134, 334), ack [350, 394), tone off at 394.
-    eng, med, _ = make_medium()
+    eng, med, sink = make_medium()
     probes = {}
     tx = med.begin_transmission("r0", "regular-data", 2000, lambda o: None)
 
@@ -206,7 +213,7 @@ def test_busy_flags_during_priority_exchange():
     eng.schedule(394, lambda: med.busy_tone_set("u0", False))
     for t in (50, 120, 200, 340, 370, 396):
         eng.schedule(t, lambda t=t: probes.setdefault(
-            t, (med.is_main_busy(), med.is_control_busy())))
+            t, (med.is_main_busy(), control_busy(sink))))
     eng.run_until(1000)
     assert probes[50] == (True, False)    # regular frame on air
     assert probes[120] == (False, True)   # AIFS gap: main idle, tone up

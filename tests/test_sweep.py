@@ -167,6 +167,29 @@ def test_cli_bad_config_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def exit_code(argv):
+    """main's return value, or the code it exits with from argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [["--m", "abc"], ["--scheme", "nope"],
+                                  ["--jobs", "x"], ["--bogus"], ["--jobs", "0"]])
+def test_cli_usage_error_exits_1(argv, tmp_path, capsys):
+    # Exit 2 is kept for a failed run, so argparse's own 2 is not used.
+    out = tmp_path / "o.csv"
+    assert exit_code(["--out", str(out), *argv]) == 1
+    assert "simulate: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_help_exits_0(capsys):
+    assert exit_code(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: simulate")
+
+
 def test_cli_missing_config_file_exits_1(tmp_path):
     assert main(["--config", str(tmp_path / "nope.cfg")]) == 1
 

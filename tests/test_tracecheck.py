@@ -312,7 +312,10 @@ def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
 
     lines = clean.read_text().splitlines()
     k = next(k for k, line in enumerate(lines) if '"tx_start"' in line)
+    k2 = next(i for i, line in enumerate(lines) if '"tx_start"' in line and i > k)
     j = next(j for j, line in enumerate(lines) if '"tx_end"' in line)
+    a = next(a for a, line in enumerate(lines) if '"arrival"' in line)
+    first_tx = json.loads(lines[k])["tx"]
     for i, broken, what in (
             (k, lines[k][:-5], "JSONDecodeError"),
             (k, lines[k].replace('"dur":', '"d":'), "KeyError: 'dur'"),
@@ -325,7 +328,14 @@ def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
             (j, json.dumps(dict(json.loads(lines[j]), outcome="weird")),
              "unknown outcome 'weird'"),
             (j, json.dumps(dict(json.loads(lines[j]), tx=999999)),
-             "KeyError: 999999")):
+             "KeyError: 999999"),
+            # a record repeated, or a later transmission relabelled with an
+            # earlier tx id, would overwrite the earlier record
+            (k + 1, lines[k], f"tx {first_tx} already started"),
+            (k2, json.dumps(dict(json.loads(lines[k2]), tx=first_tx)),
+             f"tx {first_tx} already started"),
+            (j + 1, lines[j], "already ended"),
+            (a + 1, lines[a], "arrived while still open")):
         malformed = tmp_path / "malformed.jsonl"
         malformed.write_text("\n".join(lines[:i] + [broken] + lines[i + 1:]))
         out = tracecheck_cli(str(malformed))
