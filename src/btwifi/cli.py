@@ -73,7 +73,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_scenario(args)
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print(f"simulate: config error: {exc}", file=sys.stderr)
         return 1
     if args.jobs < 1:

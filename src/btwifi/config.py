@@ -207,5 +207,8 @@ def read_scenario(path: Optional[str]) -> ScenarioConfig:
     """The scenario in the file at path, or the defaults when path is None."""
     if path is None:
         return ScenarioConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([(0, f"cannot read {path}: {exc}")]) from exc

@@ -27,7 +27,8 @@ only they hear tone edges) additionally abort an ongoing transmission the
 moment the tone is detected and suspend counting for the whole tone
 duration.  Main-channel edges arm only a ``waiting`` station, one whose
 head frame contends; a low-latency station on the no-backoff path of the
-tone scheme is not waiting, so they never arm it.
+tone scheme is not waiting, so they never arm it.  A new frame, a retry
+and a frame re-contending after a tone abort all enter ``Station._contend``.
 A tone-triggered abort is not treated as a collision: the retry count and
 contention window stay unchanged and the frame simply re-contends once
 the suspension ends.
@@ -101,16 +102,20 @@ class Station:
             raise ContractViolation(f"{self.sta_id}: head frame overwritten")
         self.head = frame
         self.retry_count = 0
-        self.waiting = True
         self.collector.on_arrival(self.engine.now, self.sta_id,
                                   self.traffic_class, frame)
-        self._after_enqueue(frame)
+        self._after_enqueue()
 
-    def _after_enqueue(self, frame: Frame) -> None:
-        self._draw_backoff()
-        self._try_arm()
+    def _after_enqueue(self) -> None:
+        self._contend()
 
     # -- backoff / deferral --------------------------------------------------
+
+    def _contend(self) -> None:
+        """The one way into contention: draw, mark waiting, arm if allowed."""
+        self._draw_backoff()
+        self.waiting = True
+        self._try_arm()
 
     def _draw_backoff(self) -> None:
         p = self.params
@@ -158,7 +163,7 @@ class Station:
             # itself stops the station before it starts transmitting.
             self._freeze(ev, t)
         if self._cur_tx is not None:
-            self.medium.abort_transmission(self._cur_tx, t)
+            self.medium.abort_transmission(self._cur_tx)
 
     def on_control_idle(self, t: SimTime) -> None:
         self.suspended = False
@@ -196,9 +201,7 @@ class Station:
             # Re-contend from scratch after the suspension: fresh draw, but
             # the retry count and contention window are NOT touched - being
             # preempted is not evidence of a collision.
-            self._draw_backoff()
-            self.waiting = True
-            self._try_arm()
+            self._contend()
 
     def _start_ack(self) -> None:
         # The responder turns the frame around SIFS after a clean reception.
@@ -218,25 +221,20 @@ class Station:
         self._timeout_ev = None
         self.retry_count += 1
         if self.retry_count > self.params.retry_limit:
-            frame = self.head
-            self.head = None
             self.collector.on_dropped(self.engine.now, self.sta_id,
-                                      self.traffic_class, frame)
-            self._after_service(frame, "dropped")
+                                      self.traffic_class, self.head)
+            self.head = None
+            self._after_service("dropped")
             return
-        self._draw_backoff()
-        self.waiting = True
-        self._try_arm()
+        self._contend()
 
     def _complete_delivered(self) -> None:
-        frame = self.head
-        self.head = None
-        self.retry_count = 0
         self.collector.on_delivered(self.engine.now, self.sta_id,
-                                    self.traffic_class, frame,
+                                    self.traffic_class, self.head,
                                     self.params.payload_bits)
-        self._after_service(frame, "delivered")
+        self.head = None
+        self._after_service("delivered")
 
-    def _after_service(self, frame: Frame, outcome: str) -> None:
+    def _after_service(self, outcome: str) -> None:
         if self.source is not None:
-            self.source.on_service_complete(outcome, self.engine.now)
+            self.source.on_service_complete()

@@ -62,16 +62,13 @@ class Medium:
     def begin_transmission(self, sta: str, ftype: str, duration: SimTime,
                            on_end: Callable[[str], None], frame_id=None) -> Transmission:
         now = self.engine.now
+        was_idle = not self._active
         for other in self._active.values():
             if other.sta == sta:
                 raise ContractViolation(f"{sta} began a second transmission at t={now}")
-        tx = Transmission(self._next_tx_id, sta, on_end)
+            other.dirty = True
+        tx = Transmission(self._next_tx_id, sta, on_end, dirty=not was_idle)
         self._next_tx_id += 1
-        was_idle = not self._active
-        if not was_idle:
-            tx.dirty = True
-            for other in self._active.values():
-                other.dirty = True
         self._active[tx.tx_id] = tx
         tx._end_ev = self.engine.schedule(now + duration, lambda: self._finish(tx))
         self.collector.on_tx_start(now, sta, tx.tx_id, ftype, duration, frame_id)
@@ -81,11 +78,9 @@ class Medium:
                 sta_obj.on_main_busy(now)
         return tx
 
-    def abort_transmission(self, tx: Transmission, at: SimTime) -> None:
+    def abort_transmission(self, tx: Transmission) -> None:
         if tx.tx_id not in self._active:
             raise ContractViolation(f"abort of inactive transmission {tx.tx_id}")
-        if at != self.engine.now:
-            raise ContractViolation("abort must happen at the current instant")
         self.engine.cancel(tx._end_ev)
         self._remove(tx, ABORTED)
 
@@ -124,15 +119,13 @@ class Medium:
             self._tones[sta] = now
         elif self._tones.pop(sta, None) is None:
             raise ContractViolation(f"{sta} released a tone it does not hold")
-        if len(self._tones) == (1 if on else 0):
-            self._broadcast_control(on, now)
-
-    def _broadcast_control(self, busy: bool, at: SimTime) -> None:
+        if len(self._tones) != (1 if on else 0):
+            return
         if self.detection_delay == 0:
-            self._deliver_control(busy)
+            self._deliver_control(on)
         else:
-            self.engine.schedule(at + self.detection_delay,
-                                 lambda: self._deliver_control(busy))
+            self.engine.schedule(now + self.detection_delay,
+                                 lambda: self._deliver_control(on))
 
     def _deliver_control(self, busy: bool) -> None:
         now = self.engine.now

@@ -72,7 +72,7 @@ def run_single(cfg: RunConfig) -> RunResult:
     if proposed:  # the priority scheme: regular stations obey the tone
         medium.tone_listeners = stations[:cfg.n_regular]
     for src in sources:
-        src.start(engine)
+        src.start()
 
     engine.run_until(cfg.sim_duration)
 

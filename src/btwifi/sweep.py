@@ -97,7 +97,8 @@ def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with get_context("spawn").Pool(workers) as pool:
-            return pool.map(_execute_point, tasks)
+            # in grid order: the first failing point raises and ends the pool
+            return list(pool.imap(_execute_point, tasks))
     return [_execute_point(t) for t in tasks]
 
 

@@ -23,9 +23,9 @@ Command line:
     python -m btwifi.tracecheck [--config FILE] TRACE...
 
 reads sim_duration_us, warmup_us and detection_delay_us from the scenario
-file (or the defaults), streams each trace, prints one `file: problem` line
-per problem and exits 0 when every trace is clean, 1 on any problem and 2 on
-an unreadable file or a malformed record.
+file (or the defaults), streams each trace and prints each `file: problem`.
+Exit 0: every trace is clean; 1: problems found; 2: no verdict (a usage error,
+a bad or unreadable scenario, an unreadable trace or a malformed record).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .config import read_scenario
+from .config import ConfigError, read_scenario
 from .medium import ABORTED, CLEAN, COLLIDED
 from .metrics import CLASSES, summarize
 from .sweep import summary_row
@@ -288,9 +288,9 @@ def main(argv=None) -> int:
 
     p = argparse.ArgumentParser(
         prog="python -m btwifi.tracecheck",
-        description="Audit JSONL run traces: print one `file: problem` line "
-                    "per problem; exit 0 if every trace is clean, 1 on any "
-                    "problem, 2 on an unreadable file or a malformed record.")
+        description="Audit JSONL run traces, one `file: problem` line per problem. "
+                    "Exit 0: all clean; 1: problems found; 2: no verdict (a usage "
+                    "error, a bad or unreadable scenario or trace, a malformed record).")
     p.add_argument("--config", metavar="FILE",
                    help="scenario file giving sim_duration_us, warmup_us and "
                         "detection_delay_us (omit for the defaults)")
@@ -298,7 +298,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     try:
         cfg = read_scenario(args.config)
-    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
+    except ConfigError as exc:
         print(f"tracecheck: config error: {exc}", file=sys.stderr)
         return 2
     status = 0

@@ -10,11 +10,14 @@ by construction.
 To avoid synchronized starts, each exponential source's first frame
 arrives at a uniform random offset in [0, mean); saturated sources all
 start at t=0.
+
+``start()`` schedules a source's first arrival on its station's engine; the
+station calls ``on_service_complete()`` the instant its head frame leaves.
 """
 
 from __future__ import annotations
 
-from .engine import Engine, RngStream, SimTime
+from .engine import RngStream, SimTime
 from .mac import Frame, Station
 
 
@@ -35,10 +38,10 @@ class _Source:
 
 
 class SaturatedSource(_Source):
-    def start(self, engine: Engine) -> None:
-        engine.schedule(0, self._arrive)
+    def start(self) -> None:
+        self.station.engine.schedule(0, self._arrive)
 
-    def on_service_complete(self, outcome: str, at: SimTime) -> None:
+    def on_service_complete(self) -> None:
         self._arrive()
 
 
@@ -51,9 +54,10 @@ class ExpAfterSuccessSource(_Source):
         self.mean = mean_interarrival
         self.rng = rng
 
-    def start(self, engine: Engine) -> None:
-        engine.schedule(self.rng.uniform_int(0, self.mean - 1), self._arrive)
+    def start(self) -> None:
+        self.station.engine.schedule(self.rng.uniform_int(0, self.mean - 1),
+                                     self._arrive)
 
-    def on_service_complete(self, outcome: str, at: SimTime) -> None:
-        gap = self.rng.exponential(self.mean)
-        self.station.engine.schedule(at + gap, self._arrive)
+    def on_service_complete(self) -> None:
+        engine = self.station.engine
+        engine.schedule(engine.now + self.rng.exponential(self.mean), self._arrive)

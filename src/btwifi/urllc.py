@@ -22,7 +22,7 @@ resolved by ordinary EDCA retries while both tones stay up.
 
 from __future__ import annotations
 
-from .mac import Frame, Station
+from .mac import Station
 
 
 class UrllcStation(Station):
@@ -33,23 +33,23 @@ class UrllcStation(Station):
     EDCA retry.
     """
 
-    def _after_enqueue(self, frame: Frame) -> None:
+    def _after_enqueue(self) -> None:
         now = self.engine.now
         fast = not self.medium.tone_asserted_before(now)
         if fast:
             # Sole tone holder: data goes on air AIFS after the tone onset,
             # no backoff draw at all, independent of main-channel history.
-            self.waiting = False
             self.engine.schedule(now + self.aifs_us, self._begin_data_tx)
-        else:
+        else:  # Station._contend, with the arm held back past the tone cascade
             self._draw_backoff()
+            self.waiting = True
         self.collector.on_tone_on(now, self.sta_id, fast)
         # Asserting may preempt a regular transmitter and cascade busy/idle
         # notifications; they arm only a waiting station, never the fast path.
         self.medium.busy_tone_set(self.sta_id, True)
         self._try_arm()
 
-    def _after_service(self, frame: Frame, outcome: str) -> None:
+    def _after_service(self, outcome: str) -> None:
         self.collector.on_tone_off(self.engine.now, self.sta_id, outcome)
         self.medium.busy_tone_set(self.sta_id, False)
-        super()._after_service(frame, outcome)
+        super()._after_service(outcome)

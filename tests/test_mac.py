@@ -4,11 +4,13 @@ Defaults used throughout: slot 9, SIFS 16, regular AIFS 43 (aifsn 3),
 data 2000, ack 44, ack timeout at data_end + 16 + 44 + 9.
 """
 
+import random
+
 import pytest
 
-from btwifi.engine import ContractViolation
+from btwifi.engine import ContractViolation, RngStream
 from btwifi.mac import EdcaParams, PhyConstants, aifs
-from btwifi.traffic import SaturatedSource
+from btwifi.traffic import ExpAfterSuccessSource, SaturatedSource
 
 from conftest import PHY, Bench
 
@@ -187,7 +189,7 @@ def test_head_frame_overwrite_is_contract_violation():
 def test_saturated_refill_resets_retry_and_draws_fresh():
     b = Bench()
     a = b.add_regular("r0", draws=[5, 2])
-    SaturatedSource(a).start(b.engine)
+    SaturatedSource(a).start()
     b.run(4300)
     delivered = b.events("delivered")
     # cycle 1: 43+45+2000+16+44 = 2148; cycle 2: 2148+43+18+2060 = 4269
@@ -203,7 +205,7 @@ def test_counter_invariants_across_run():
     stations = [b.add_regular(f"r{i}", draws=list(range(16)) * 4)
                 for i in range(3)]
     for sta in stations:
-        SaturatedSource(sta).start(b.engine)
+        SaturatedSource(sta).start()
     b.run(100_000)
     for sta in stations:
         assert sta.counter >= 0
@@ -212,3 +214,38 @@ def test_counter_invariants_across_run():
             assert lo == 0
             assert (hi + 1) & hi == 0  # 2^k - 1
             assert 15 <= hi <= 1023
+
+
+def test_only_a_contending_head_frame_waits_or_is_armed():
+    # Station._contend is the only way into contention, so at any instant a
+    # station without a head frame is not waiting, and an armed station is.
+    b = Bench(duration=300_000)
+    draw = random.Random(7)
+    regular = [b.add_regular(f"r{i}", draws=[draw.randint(0, 15) for _ in range(400)])
+               for i in range(3)]
+    urllc = [b.add_urllc(f"u{j}", draws=[draw.randint(0, 3) for _ in range(400)])
+             for j in range(2)]
+    for sta in regular:
+        SaturatedSource(sta).start()
+    for sta in urllc:
+        ExpAfterSuccessSource(sta, 1_500, RngStream(1, f"{sta.sta_id}:arrival")).start()
+    seen, broken = set(), []
+
+    def probe():
+        for sta in b.stations.values():
+            armed = sta._arm_ev is not None
+            seen.add((sta.traffic_class, sta.head is not None, sta.waiting, armed))
+            if (sta.head is None and sta.waiting) or (armed and not sta.waiting):
+                broken.append((b.engine.now, sta.sta_id))
+
+    for t in range(997, b.duration, 997):
+        b.engine.schedule(t, probe)
+    b.run()
+    assert broken == []
+    # the run went through every path into contention and out of it
+    assert b.events("preempted")
+    assert "collided" in {e["outcome"] for e in b.events("tx_end")}
+    assert {e["fast"] for e in b.events("tone_on")} == {True, False}
+    assert {("regular", True, True, True), ("regular", True, True, False),
+            ("regular", True, False, False), ("urllc", False, False, False),
+            ("urllc", True, True, True), ("urllc", True, False, False)} <= seen

@@ -96,7 +96,7 @@ def test_abort_frees_channel_and_reports_aborted():
     eng, med, sink = make_medium()
     outcomes = []
     tx = med.begin_transmission("r0", "regular-data", 2000, outcomes.append)
-    eng.schedule(500, lambda: med.abort_transmission(tx, 500))
+    eng.schedule(500, lambda: med.abort_transmission(tx))
     eng.run_until(3000)
     assert outcomes == [ABORTED]
     assert ("main-idle", 500) in sink.log
@@ -110,7 +110,7 @@ def test_abort_at_scheduled_end_equals_natural_end():
     def late_abort():
         # end event at t=2000 dispatches first (earlier seq) and removes it
         if tx.tx_id in med._active:
-            med.abort_transmission(tx, 2000)
+            med.abort_transmission(tx)
 
     eng.schedule(2000, late_abort)
     eng.run_until(3000)
@@ -124,7 +124,7 @@ def test_truncated_interval_still_collides():
                                 lambda o: outcomes.setdefault("r0", o))
     eng.schedule(300, lambda: med.begin_transmission(
         "r1", "regular-data", 100, lambda o: outcomes.setdefault("r1", o)))
-    eng.schedule(500, lambda: med.abort_transmission(tx, 500))
+    eng.schedule(500, lambda: med.abort_transmission(tx))
     eng.run_until(3000)
     assert outcomes == {"r0": ABORTED, "r1": COLLIDED}
 
@@ -136,7 +136,7 @@ def test_transmission_after_abort_does_not_overlap():
     outcomes = {}
     tx = med.begin_transmission("r0", "regular-data", 2000,
                                 lambda o: outcomes.setdefault("r0", o))
-    eng.schedule(500, lambda: med.abort_transmission(tx, 500))
+    eng.schedule(500, lambda: med.abort_transmission(tx))
     eng.schedule(534, lambda: med.begin_transmission(
         "u0", "urllc-data", 200, lambda o: outcomes.setdefault("u0", o)))
     eng.run_until(3000)
@@ -149,7 +149,7 @@ def test_abort_inactive_transmission_is_contract_violation():
     tx = med.begin_transmission("r0", "regular-data", 100, outcomes.append)
     eng.run_until(200)
     with pytest.raises(ContractViolation):
-        med.abort_transmission(tx, 200)
+        med.abort_transmission(tx)
 
 
 def test_tone_register_transitions():
@@ -203,7 +203,7 @@ def test_busy_flags_during_priority_exchange():
 
     def tone_on():
         med.busy_tone_set("u0", True)
-        med.abort_transmission(tx, 100)
+        med.abort_transmission(tx)
 
     eng.schedule(100, tone_on)
     eng.schedule(134, lambda: med.begin_transmission("u0", "urllc-data", 200,

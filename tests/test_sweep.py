@@ -83,8 +83,8 @@ def test_pool_size_is_capped_by_points_and_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
 
     monkeypatch.setattr(multiprocessing.get_context("spawn"), "Pool", RecordingPool)
     two_points = ScenarioConfig(n_regular=1, m_list=(1,), schemes=("legacy",),
@@ -161,10 +161,15 @@ warmup_us = 50000
 
 def test_cli_bad_config_exits_1(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("[regular]\ndata_airtime_us = 9999\n", encoding="utf-8")
-    rc = main(["--config", str(cfg_file)])
-    assert rc == 1
-    assert "config error" in capsys.readouterr().err
+    out = tmp_path / "o.csv"
+    # an invalid value, and a file that is not UTF-8 text
+    for content in ("[regular]\ndata_airtime_us = 9999\n".encode(),
+                    b"\xff\xfe[run]\nseeds = 1\n"):
+        cfg_file.write_bytes(content)
+        rc = main(["--config", str(cfg_file), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("simulate: config error: ")
+        assert not out.exists()
 
 
 def exit_code(argv):

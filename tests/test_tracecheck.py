@@ -353,3 +353,23 @@ def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
         with pytest.raises(ValueError,
                            match=rf"^line {k + 1}: malformed record \({what}"):
             count_kinds(lines[:k] + [broken] + lines[k + 1:])
+
+
+def test_cli_exits_2_without_a_verdict(trace_files, tmp_path):
+    # 2 is no verdict: a usage error or a scenario that cannot be used
+    _, clean, _ = trace_files
+    invalid = tmp_path / "invalid.cfg"
+    invalid.write_text("[run]\nwarmup_us = -1\n")
+    not_utf8 = tmp_path / "not_utf8.cfg"
+    not_utf8.write_bytes(b"\xff\xfe[run]\nseeds = 1\n")
+    for scenario in (invalid, not_utf8, tmp_path / "missing.cfg"):
+        out = tracecheck_cli("--config", str(scenario), str(clean))
+        assert (out.returncode, out.stdout) == (2, ""), scenario
+        assert out.stderr.startswith("tracecheck: config error: "), scenario
+        assert "Traceback" not in out.stderr
+    out = tracecheck_cli("--bogus", "x")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert "unrecognized arguments: --bogus" in out.stderr
+    out = tracecheck_cli("--help")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.startswith("usage: python -m btwifi.tracecheck")

@@ -7,7 +7,7 @@ from conftest import Bench
 def test_saturated_station_always_has_a_head_frame():
     b = Bench()
     sta = b.add_regular("r0", draws=[3] * 50)
-    SaturatedSource(sta).start(b.engine)
+    SaturatedSource(sta).start()
     probes = []
     for t in range(1, 50_000, 1777):
         b.engine.schedule(t, lambda: probes.append(sta.head is not None))
@@ -53,7 +53,7 @@ def test_exp_source_empirical_regeneration_gap():
     total = 0
     for _ in range(n):
         base = eng.now
-        src.on_service_complete("delivered", base)
+        src.on_service_complete()
         eng.run_until(base + 1_000_000)  # generous bound; the arrival fires inside
         total += sta.arrivals[-1] - base
     assert abs(total / n - 10_000) < 100
@@ -76,7 +76,7 @@ def test_exp_source_first_arrival_is_randomized_within_mean():
         e = Engine()
         src = ExpAfterSuccessSource(FakeStation(e), 10_000,
                                     RngStream(k, "u0:arrival"))
-        src.start(e)
+        src.start()
         e.run_until(20_000)
     assert all(0 <= t < 10_000 for t in seen)
     assert len(set(seen)) > 50  # genuinely spread, not synchronized
