@@ -208,7 +208,7 @@ def read_scenario(path: Optional[str]) -> ScenarioConfig:
     if path is None:
         return ScenarioConfig()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_config(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([(0, f"cannot read {path}: {exc}")]) from exc

@@ -21,14 +21,14 @@ Timing model (integer microseconds):
   cw = min((cw_min+1) * 2^retry - 1, cw_max), so failed attempts double
   the contention window; frames exceeding the retry limit are dropped.
 
-Stations that obey the tone channel (regular stations when the priority
-scheme is enabled; the run wires them into ``Medium.tone_listeners``, so
-only they hear tone edges) additionally abort an ongoing transmission the
-moment the tone is detected and suspend counting for the whole tone
-duration.  Main-channel edges arm only a ``waiting`` station, one whose
-head frame contends; a low-latency station on the no-backoff path of the
-tone scheme is not waiting, so they never arm it.  A new frame, a retry
-and a frame re-contending after a tone abort all enter ``Station._contend``.
+Regular stations obey the tone in both schemes (the run wires them into
+``Medium.tone_listeners``; only a tone-scheme low-latency station raises a
+tone): they abort an ongoing transmission the moment the tone is detected
+and suspend counting for the whole tone duration.  Main-channel edges arm
+only a ``waiting`` station, one whose head frame contends, so never a
+low-latency station on the no-backoff path.  ``Station._contend`` is the
+way into contention for every station class: a new frame, a retry, a
+re-contention after a tone abort, and a low-latency frame joining a tone.
 A tone-triggered abort is not treated as a collision: the retry count and
 contention window stay unchanged and the frame simply re-contends once
 the suspension ends.
@@ -113,14 +113,11 @@ class Station:
 
     def _contend(self) -> None:
         """The one way into contention: draw, mark waiting, arm if allowed."""
-        self._draw_backoff()
-        self.waiting = True
-        self._try_arm()
-
-    def _draw_backoff(self) -> None:
         p = self.params
         cw = min((p.cw_min + 1) * (1 << self.retry_count) - 1, p.cw_max)
         self.counter = self.rng.uniform_int(0, cw)
+        self.waiting = True
+        self._try_arm()
 
     def _try_arm(self) -> None:
         """(Re)start counting if the frame may contend right now."""

@@ -39,9 +39,8 @@ class Medium:
 
     listeners is the fixed, ordered list of stations told about main-channel
     busy/idle edges; tone_listeners lists, in the same order, the stations
-    that obey the tone (the regular stations when the priority scheme is
-    on) and are told about its edges.  Broadcasts iterate them in order so
-    runs are reproducible.
+    that obey the tone (the regular stations) and are told about its
+    edges.  Broadcasts iterate them in order so runs are reproducible.
     """
 
     def __init__(self, engine: Engine, detection_delay: SimTime, collector) -> None:

@@ -53,7 +53,7 @@ def run_single(cfg: RunConfig) -> RunResult:
     collector = (Tracer if cfg.trace else MetricsCollector)(cfg.warmup, cfg.sim_duration)
     medium = Medium(engine, cfg.detection_delay, collector)
 
-    proposed = cfg.scheme == PROPOSED
+    urllc_cls = UrllcStation if cfg.scheme == PROPOSED else Station
     stations: list[Station] = []
     sources = []
     for i in range(cfg.n_regular):
@@ -62,15 +62,14 @@ def run_single(cfg: RunConfig) -> RunResult:
         stations.append(sta)
         sources.append(SaturatedSource(sta))
     for j in range(cfg.m_urllc):
-        sta_cls = UrllcStation if proposed else Station
-        sta = sta_cls(f"u{j}", "urllc", cfg.urllc, cfg.phy, medium,
+        sta = urllc_cls(f"u{j}", "urllc", cfg.urllc, cfg.phy, medium,
                       RngStream(cfg.seed, f"u{j}:backoff"))
         stations.append(sta)
         sources.append(ExpAfterSuccessSource(sta, cfg.urllc_mean_interarrival,
                                              RngStream(cfg.seed, f"u{j}:arrival")))
     medium.listeners = stations
-    if proposed:  # the priority scheme: regular stations obey the tone
-        medium.tone_listeners = stations[:cfg.n_regular]
+    # Regular stations obey the tone; only a UrllcStation ever raises one.
+    medium.tone_listeners = stations[:cfg.n_regular]
     for src in sources:
         src.start()
 

@@ -81,10 +81,10 @@ def load_records(lines: Iterable[str]) -> Trace:
 
     A malformed record raises ValueError naming its line.  That includes a
     tx_end without a tx_start, a tx_start or tx_end repeated for one tx id,
-    a tone_off without a tone_on, a tone span that starts before the one
-    before it ended, an arrival of a frame still open, a delivered or
-    dropped frame that never arrived, and an ftype, outcome or frame class
-    that the simulator never writes.
+    a tx_start whose duration is below 1, a tone_off without a tone_on, a
+    tone span that starts before the one before it ended, an arrival of a
+    frame still open, a delivered or dropped frame that never arrived, and
+    an ftype, outcome or frame class that the simulator never writes.
     """
     txs: dict[int, TxRecord] = {}
     spans: list[tuple[int, int]] = []
@@ -106,6 +106,8 @@ def load_records(lines: Iterable[str]) -> Trace:
                     raise TypeError("tx_start needs integer tx and dur")
                 if ftype is None:
                     raise ValueError(f"unknown ftype {rec['ftype']!r}")
+                if dur < 1:
+                    raise ValueError(f"tx {txid} has duration {dur}, below 1")
                 if txid in txs:
                     raise ValueError(f"tx {txid} already started")
                 txs[txid] = TxRecord(txid, ftype, t, t + dur)

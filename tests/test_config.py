@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from btwifi.cli import main
-from btwifi.config import ConfigError, ScenarioConfig, parse_config
+from btwifi.config import ConfigError, ScenarioConfig, parse_config, read_scenario
 
 
 def test_empty_file_yields_full_defaults():
@@ -128,6 +128,13 @@ def test_shipped_scenario_files_parse():
     assert parse_config(full) == ScenarioConfig()
     quick = (scenarios / "quick_look.cfg").read_text(encoding="utf-8")
     assert parse_config(quick).m_list == (1, 10, 25)
+
+
+def test_a_byte_order_mark_is_not_part_of_the_scenario(tmp_path):
+    text = "[run]\nn_regular = 2\nm_urllc = 3\n"
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read_scenario(str(bom)) == parse_config(text) != ScenarioConfig()
 
 
 def test_m_zero_with_both_schemes_is_legal():

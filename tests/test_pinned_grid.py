@@ -1,11 +1,13 @@
 """Behaviour oracle for refactors: pinned hashes of rows and traces.
 
 Every summary row and every trace of a small grid (both schemes, M in
-{0, 1, 5, 15}, seed 1, 1 s) is pinned by sha256 in three configurations:
-the defaults, a 3 us tone detection delay, and non-default EDCA parameters
-for both classes.  Each point also runs untraced, and its row must match
-the same pin: tracing only observes a run.  A refactor of the MAC, the
-medium, the engine or the observers must leave every hash unchanged.
+{0, 1, 5, 15}, seed 1, 1 s) is pinned by sha256 in four configurations:
+the defaults, a 3 us tone detection delay, a 34 us one (equal to the URLLC
+AIFS, so a heard tone edge shares its microsecond with a fast-path launch),
+and non-default EDCA parameters for both classes.  Each point also runs
+untraced, and its row must match the same pin: tracing only observes a
+run.  A refactor of the MAC, the medium, the engine or the observers must
+leave every hash unchanged.
 
 Re-pin only for a deliberate physics change, and say so where the change
 is recorded: a hash that moves otherwise means the refactor changed
@@ -25,6 +27,7 @@ BASE = ScenarioConfig(sim_duration=1_000_000, warmup=100_000)
 CONFIGS = {
     "defaults": BASE,
     "detection_delay_3": replace(BASE, detection_delay=3),
+    "detection_delay_34": replace(BASE, detection_delay=34),
     "edca": replace(
         BASE,
         regular=replace(BASE.regular, cw_min=31, retry_limit=5),
@@ -82,6 +85,30 @@ PINS = {
     ('detection_delay_3', 'proposed', 15): (
         '43dbb6b6ccca5b2858fdf68d9ab2a9587f2baef16f01378df75ef0aa748be732',
         '0993d3f74b47088d2cbe145e9148543bd32543de98cabce98560c4e62901a0c7'),
+    ('detection_delay_34', 'legacy', 0): (
+        '5e28ab299c854e60d331c7f9b6852d8b968501a034e6bf6a02017dafb88d66c9',
+        'a3f2566b6aa3818726301cfecd2cd89673e2341fe5f5bfb206a4051a313d167c'),
+    ('detection_delay_34', 'legacy', 1): (
+        'd782b3ce73307e1b3f532bdc3119d260cdf78eaf5780db9c5f9c2f928817f4d6',
+        'abcb0f585ee179256f9130e02e731e7744af16487106142eb7b778bb117a894c'),
+    ('detection_delay_34', 'legacy', 5): (
+        '03919b6d43422184276de3ccad96b09e5ccb395bdb96f909f602c59e3f5175e8',
+        'b28f2cc8c2090d2a6ff27dfcda3803df26ff484984d2ee1c127c683c95b7183a'),
+    ('detection_delay_34', 'legacy', 15): (
+        '811d8d0c6cd9e68914931f1bd0880ef200d83dc83c4f7a128de4479d18c10fe8',
+        'da53245c17d490468ff49e0dc82218804ce79ee391e734c417370735e6d9dd93'),
+    ('detection_delay_34', 'proposed', 0): (
+        '8242bb7aec3d711452ce2f621b514e4761838571f21d1a11286fc18196db99a6',
+        'a3f2566b6aa3818726301cfecd2cd89673e2341fe5f5bfb206a4051a313d167c'),
+    ('detection_delay_34', 'proposed', 1): (
+        'acce9956425563e7b9fcb55c3cfed273c38d17662c715b25d717c216d71efeed',
+        '73a18d0baead2a9be11527afcccdd7f14ed73e04e5e86cd70fc090c144d6d83f'),
+    ('detection_delay_34', 'proposed', 5): (
+        '9fc453436bf509c49f19501e94c7d484a4e9f4494e64c26d004fc44f5b2a30f8',
+        '24636556d271a3bd1e73cc26dea8f219f63e3294df45208984929eb9fd9c72bf'),
+    ('detection_delay_34', 'proposed', 15): (
+        'e19404ee6f855f5fabb9c2a6b7a10a44c5ff331ebd4311eaa4855cbfc3ef9386',
+        '567d8794a88d8803ea1f94c2ac752aa338a4aa1f13dc96a21913d0042183da12'),
     ('edca', 'legacy', 0): (
         '1c8144848463e5818569f7673a130de5883cedaa8c60c00d8388e0e7d83ab7a2',
         '46f5510fc6ad4185bb5a4406de78e169b04736ed4a0dd72477c306e612fd48e7'),

@@ -107,10 +107,12 @@ def test_csv_parses_with_standard_reader():
     assert rows[0]["urllc_delay_mean_us"] == ""  # M=0 row
 
 
-def test_detection_delay_shifts_abort_but_not_fast_path():
-    # With a 3 us detection delay the preempted frame stops at tone+3 and
-    # the priority data still launches at tone+34: clean by 31 us of margin.
-    cfg = ScenarioConfig(n_regular=1, detection_delay=3,
+@pytest.mark.parametrize("delay", [3, 34])
+def test_detection_delay_shifts_abort_but_not_fast_path(delay):
+    # The preempted frame stops at tone+delay and the priority data still
+    # launches at tone+34.  At 3 us that leaves 31 us of margin; at 34 us
+    # (the URLLC AIFS) the two are back-to-back, which is not a collision.
+    cfg = ScenarioConfig(n_regular=1, detection_delay=delay,
                          sim_duration=2_000_000, warmup=0)
     res = run_single(cfg.run_config("proposed", 1, 3, trace=True))
     from btwifi.tracecheck import scan_trace
@@ -119,8 +121,8 @@ def test_detection_delay_shifts_abort_but_not_fast_path():
     aborts = [r["t"] for r in recs if r["kind"] == "tx_end"
               and r["outcome"] == "aborted"]
     assert aborts, "expected at least one preemption in 2 s of saturation"
-    assert all(t - 3 in tones for t in aborts)
+    assert all(t - delay in tones for t in aborts)
     assert scan_trace(res.trace_lines, cfg.sim_duration, cfg.warmup,
-                      detection_delay=3) == []
+                      detection_delay=delay) == []
     # the delay of a preempting arrival is unchanged: fast path is 294 us
     assert min(res.urllc_delays) == 294

@@ -325,6 +325,10 @@ def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
             (k, json.dumps(dict(json.loads(lines[k]), ftype="beacon")),
              "unknown ftype 'beacon'"),
             (k, '{"t": 5, "tx": 1}', "KeyError: 'kind'"),
+            (k, json.dumps(dict(json.loads(lines[k]), dur=0)),
+             f"tx {first_tx} has duration 0, below 1"),
+            (k, json.dumps(dict(json.loads(lines[k]), dur=-50)),
+             f"tx {first_tx} has duration -50, below 1"),
             (j, json.dumps(dict(json.loads(lines[j]), outcome="weird")),
              "unknown outcome 'weird'"),
             (j, json.dumps(dict(json.loads(lines[j]), tx=999999)),
