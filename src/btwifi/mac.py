@@ -21,17 +21,24 @@ Timing model (integer microseconds):
   cw = min((cw_min+1) * 2^retry - 1, cw_max), so failed attempts double
   the contention window; frames exceeding the retry limit are dropped.
 
-Regular stations obey the tone in both schemes (the run wires them into
-``Medium.tone_listeners``; only a tone-scheme low-latency station raises a
-tone): they abort an ongoing transmission the moment the tone is detected
-and suspend counting for the whole tone duration.  Main-channel edges arm
-only a ``waiting`` station, one whose head frame contends, so never a
-low-latency station on the no-backoff path.  ``Station._contend`` is the
-way into contention for every station class: a new frame, a retry, a
-re-contention after a tone abort, and a low-latency frame joining a tone.
-A tone-triggered abort is not treated as a collision: the retry count and
-contention window stay unchanged and the frame simply re-contends once
-the suspension ends.
+Every plain ``Station`` obeys the tone (``obeys_tone``);
+``UrllcStation``, the only class that raises a tone, does not.  A
+station registers itself with its medium when it is built: in
+``Medium.listeners``, and in ``Medium.tone_listeners`` if it obeys the
+tone.  A legacy low-latency station is a plain ``Station`` and so a tone
+listener too, but the legacy scheme never raises a tone.  A station that
+obeys the tone aborts an ongoing transmission and freezes its backoff
+the moment the tone is detected, and does not arm while
+``Medium.tone_heard`` is set: suspension
+is the medium's heard level, set before any listener is told, so the
+main-channel idle edge left by the first abort arms no later listener.
+Main-channel edges arm only a ``waiting`` station, one whose head frame
+contends, so never a low-latency station on the no-backoff path.
+``Station._contend`` is the way into contention for every station class:
+a new frame, a retry, a re-contention after a tone abort, and a
+low-latency frame joining a tone.  A tone-triggered abort is not treated
+as a collision: the retry count and contention window stay unchanged and
+the frame simply re-contends once the suspension ends.
 """
 
 from __future__ import annotations
@@ -73,6 +80,8 @@ class Frame:
 class Station:
     """One EDCA transmitter with a single-frame buffer."""
 
+    obeys_tone = True
+
     def __init__(self, sta_id: str, traffic_class: str, params: EdcaParams,
                  phy: PhyConstants, medium: Medium, rng: RngStream) -> None:
         self.sta_id = sta_id
@@ -90,10 +99,12 @@ class Station:
         self.head: Optional[Frame] = None
         self.counter = 0
         self.retry_count = 0
-        self.suspended = False
         self._arm_ev: Optional[list] = None
         self._timeout_ev: Optional[list] = None
         self._cur_tx: Optional[Transmission] = None
+        medium.listeners.append(self)
+        if self.obeys_tone:
+            medium.tone_listeners.append(self)
 
     # -- frame intake -------------------------------------------------------
 
@@ -121,7 +132,8 @@ class Station:
 
     def _try_arm(self) -> None:
         """(Re)start counting if the frame may contend right now."""
-        if (not self.waiting or self.suspended or self._arm_ev is not None
+        if (not self.waiting or self._arm_ev is not None
+                or (self.medium.tone_heard and self.obeys_tone)
                 or self.medium.is_main_busy()):
             return
         self._arm_ev = self.engine.schedule(
@@ -146,14 +158,14 @@ class Station:
     def on_main_idle(self, t: SimTime) -> None:
         # Hot path (called on every busy->idle edge): inlined _try_arm minus
         # the medium-idle check, which the transition itself guarantees.
-        if self.waiting and not self.suspended and self._arm_ev is None:
+        if self.waiting and self._arm_ev is None \
+                and not (self.medium.tone_heard and self.obeys_tone):
             self._arm_ev = self.engine.schedule(
                 t + self.aifs_us + self.counter * self.phy.slot_time, self._fire_tx)
 
     # -- tone channel ---------------------------------------------------------
 
     def on_control_busy(self, t: SimTime) -> None:
-        self.suspended = True
         ev = self._arm_ev
         if ev is not None:
             # Unlike a main-channel busy edge, a tone heard on the boundary
@@ -163,17 +175,14 @@ class Station:
             self.medium.abort_transmission(self._cur_tx)
 
     def on_control_idle(self, t: SimTime) -> None:
-        self.suspended = False
         self._try_arm()
 
     # -- the frame exchange ----------------------------------------------------
 
     def _fire_tx(self) -> None:
+        """The one way onto the air: an expired backoff or the fast path."""
         self._arm_ev = None
         self.waiting = False
-        self._begin_data_tx()
-
-    def _begin_data_tx(self) -> None:
         now = self.engine.now
         p = self.params
         self._cur_tx = self.medium.begin_transmission(

@@ -37,10 +37,16 @@ class Transmission:
 class Medium:
     """Owns both channels; mutated only from its run's event loop.
 
-    listeners is the fixed, ordered list of stations told about main-channel
+    listeners is the ordered list of stations told about main-channel
     busy/idle edges; tone_listeners lists, in the same order, the stations
-    that obey the tone (the regular stations) and are told about its
-    edges.  Broadcasts iterate them in order so runs are reproducible.
+    that obey the tone and are told about its edges.  Each station appends
+    itself when it is built, so both lists follow construction order, and
+    broadcasts iterate them in that order so runs are reproducible.
+
+    tone_heard is the control level the listeners last heard: it changes
+    at the heard instant, detection_delay after the first assertion or the
+    last release, before any listener is told.  A station that obeys the
+    tone reads it to know that it is suspended.
     """
 
     def __init__(self, engine: Engine, detection_delay: SimTime, collector) -> None:
@@ -49,6 +55,7 @@ class Medium:
         self.collector = collector
         self.listeners: list = []
         self.tone_listeners: list = []
+        self.tone_heard = False
         self._active: dict[int, Transmission] = {}
         self._next_tx_id = 0
         self._tones: dict[str, SimTime] = {}  # sta -> assertion time
@@ -128,6 +135,7 @@ class Medium:
 
     def _deliver_control(self, busy: bool) -> None:
         now = self.engine.now
+        self.tone_heard = busy
         if busy:
             for sta_obj in self.tone_listeners:
                 sta_obj.on_control_busy(now)

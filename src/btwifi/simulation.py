@@ -67,9 +67,6 @@ def run_single(cfg: RunConfig) -> RunResult:
         stations.append(sta)
         sources.append(ExpAfterSuccessSource(sta, cfg.urllc_mean_interarrival,
                                              RngStream(cfg.seed, f"u{j}:arrival")))
-    medium.listeners = stations
-    # Regular stations obey the tone; only a UrllcStation ever raises one.
-    medium.tone_listeners = stations[:cfg.n_regular]
     for src in sources:
         src.start()
 

@@ -157,7 +157,11 @@ def curve_path(out_dir: str, name: str, scheme: str) -> str:
 
 
 def write_curve_files(summaries: list[RunSummary], out_dir: str) -> None:
-    """Two-column (M, metric) files per scheme, seed-averaged; gnuplot-ready."""
+    """Two-column (M, metric) files per scheme, seed-averaged; gnuplot-ready.
+
+    Every (scheme, metric) file is written, with only its header when no
+    run has a value, so a file left by an earlier sweep never survives.
+    """
     os.makedirs(out_dir, exist_ok=True)
     for scheme in sorted({s.scheme for s in summaries}):
         for name, attr in CURVES.items():
@@ -168,8 +172,6 @@ def write_curve_files(summaries: list[RunSummary], out_dir: str) -> None:
                 v = getattr(s, attr)
                 if v is not None:
                     by_m.setdefault(s.m_urllc, []).append(v)
-            if not by_m:
-                continue
             path = curve_path(out_dir, name, scheme)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(f"# M  {name} ({scheme}, mean over seeds)\n")

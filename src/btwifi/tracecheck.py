@@ -81,10 +81,13 @@ def load_records(lines: Iterable[str]) -> Trace:
 
     A malformed record raises ValueError naming its line.  That includes a
     tx_end without a tx_start, a tx_start or tx_end repeated for one tx id,
-    a tx_start whose duration is below 1, a tone_off without a tone_on, a
-    tone span that starts before the one before it ended, an arrival of a
-    frame still open, a delivered or dropped frame that never arrived, and
-    an ftype, outcome or frame class that the simulator never writes.
+    a tx_start whose duration is below 1, a tone_off without a tone_on or
+    earlier than the start of its tone span, a tone span that starts before
+    the one before it ended, an arrival of a frame still open, a delivered
+    or dropped frame that never arrived, a frame delivered before it
+    arrived, and an ftype, outcome or frame class that the simulator never
+    writes.  Records are otherwise free to go back in time: the physics
+    checks, not the parse, judge a record that is out of order.
     """
     txs: dict[int, TxRecord] = {}
     spans: list[tuple[int, int]] = []
@@ -128,7 +131,11 @@ def load_records(lines: Iterable[str]) -> Trace:
                     raise ValueError(f"frame {frame!r} arrived while still open")
                 open_frames[frame] = (t, cls)
             elif kind == "delivered":
-                arrival, cls = open_frames.pop(rec["frame"])
+                frame = rec["frame"]
+                arrival, cls = open_frames.pop(frame)
+                if t < arrival:
+                    raise ValueError(f"frame {frame!r} delivered at {t}, "
+                                     f"before its arrival at {arrival}")
                 delivered.append((t, arrival, cls))
             elif kind == "tone_on":
                 if level == 0:
@@ -142,6 +149,9 @@ def load_records(lines: Iterable[str]) -> Trace:
                 level -= 1
                 if level < 0:
                     raise ValueError("tone_off without matching tone_on")
+                if t < start:
+                    raise ValueError(f"tone_off at {t} is earlier than the "
+                                     f"start {start} of its tone span")
                 if level == 0 and t > start:
                     spans.append((start, t))
             elif kind == "dropped":

@@ -29,10 +29,12 @@ from .mac import Station
 class UrllcStation(Station):
     """Station running the tone scheme for its own traffic.
 
-    Never suspended by tones (the run does not make it a tone listener);
-    collisions inside the low-latency class are handled by the inherited
-    EDCA retry.
+    Never suspended by tones (``obeys_tone = False``, so it is not a tone
+    listener and arms whatever the heard level); collisions inside the
+    low-latency class are handled by the inherited EDCA retry.
     """
+
+    obeys_tone = False
 
     def _after_enqueue(self) -> None:
         now = self.engine.now
@@ -43,7 +45,7 @@ class UrllcStation(Station):
         if fast:
             # Sole tone holder: data goes on air AIFS after the tone onset,
             # no backoff draw at all, independent of main-channel history.
-            self.engine.schedule(now + self.aifs_us, self._begin_data_tx)
+            self.engine.schedule(now + self.aifs_us, self._fire_tx)
         else:
             self._contend()
 

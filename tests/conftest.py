@@ -45,27 +45,22 @@ class Bench:
         self.stations = {}
         self._frame_n = 0
 
-    def add_regular(self, sta_id, draws=(), reacts_to_tone=True, params=REGULAR):
+    def add_regular(self, sta_id, draws=(), params=REGULAR):
         sta = Station(sta_id, "regular", params, PHY, self.medium,
                       ScriptedRng(draws))
         self.stations[sta_id] = sta
-        self.medium.listeners.append(sta)
-        if reacts_to_tone:
-            self.medium.tone_listeners.append(sta)
         return sta
 
     def add_urllc(self, sta_id, draws=(), params=URLLC):
         sta = UrllcStation(sta_id, "urllc", params, PHY, self.medium,
                            ScriptedRng(draws))
         self.stations[sta_id] = sta
-        self.medium.listeners.append(sta)
         return sta
 
     def add_legacy_urllc(self, sta_id, draws=(), params=URLLC):
         sta = Station(sta_id, "urllc", params, PHY, self.medium,
                       ScriptedRng(draws))
         self.stations[sta_id] = sta
-        self.medium.listeners.append(sta)
         return sta
 
     def enqueue_at(self, t, sta):

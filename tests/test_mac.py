@@ -219,6 +219,7 @@ def test_counter_invariants_across_run():
 def test_only_a_contending_head_frame_waits_or_is_armed():
     # Station._contend is the only way into contention, so at any instant a
     # station without a head frame is not waiting, and an armed station is.
+    # A station that obeys the tone is never armed while the tone is heard.
     b = Bench(duration=300_000)
     draw = random.Random(7)
     regular = [b.add_regular(f"r{i}", draws=[draw.randint(0, 15) for _ in range(400)])
@@ -229,19 +230,23 @@ def test_only_a_contending_head_frame_waits_or_is_armed():
         SaturatedSource(sta).start()
     for sta in urllc:
         ExpAfterSuccessSource(sta, 1_500, RngStream(1, f"{sta.sta_id}:arrival")).start()
-    seen, broken = set(), []
+    assert b.medium.tone_listeners == regular
+    seen, broken, heard = set(), [], []
 
     def probe():
+        heard.append(b.medium.tone_heard)
         for sta in b.stations.values():
             armed = sta._arm_ev is not None
             seen.add((sta.traffic_class, sta.head is not None, sta.waiting, armed))
-            if (sta.head is None and sta.waiting) or (armed and not sta.waiting):
+            if (sta.head is None and sta.waiting) or (armed and not sta.waiting) \
+                    or (armed and sta.obeys_tone and b.medium.tone_heard):
                 broken.append((b.engine.now, sta.sta_id))
 
     for t in range(997, b.duration, 997):
         b.engine.schedule(t, probe)
     b.run()
     assert broken == []
+    assert True in heard and False in heard
     # the run went through every path into contention and out of it
     assert b.events("preempted")
     assert "collided" in {e["outcome"] for e in b.events("tx_end")}

@@ -194,6 +194,22 @@ def test_detection_delay_defers_control_broadcast():
     assert ("control-busy", 105) in sink.log
 
 
+@pytest.mark.parametrize("delay", [0, 3])
+def test_tone_heard_changes_at_the_heard_instant_before_listeners_are_told(delay):
+    eng, med, sink = make_medium(detection_delay=delay)
+    told = []  # (t, tone_heard) as each listener call found it
+    sink.on_control_busy = sink.on_control_idle = \
+        lambda t: told.append((t, med.tone_heard))
+    eng.schedule(100, lambda: med.busy_tone_set("u0", True))
+    eng.schedule(400, lambda: med.busy_tone_set("u0", False))
+    probes = {}
+    for t in (99 + delay, 399 + delay):
+        eng.schedule(t, lambda t=t: probes.setdefault(t, med.tone_heard))
+    eng.run_until(1000)
+    assert told == [(100 + delay, True), (400 + delay, False)]
+    assert probes == {99 + delay: False, 399 + delay: True}
+
+
 def test_busy_flags_during_priority_exchange():
     # Timeline mirroring the preemption picture: tone at 100, regular frame
     # aborted at 100, data [134, 334), ack [350, 394), tone off at 394.

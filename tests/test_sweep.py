@@ -314,3 +314,19 @@ warmup_us = 50000
     assert [r[0] for r in rows] == ["1", "2"]
     thr = (curves / "regular_throughput_bps_proposed.dat").read_text()
     assert len(thr.splitlines()) == 3
+
+
+def test_a_sweep_without_urllc_delays_rewrites_the_delay_curve(tmp_path):
+    # A second sweep into the same directory must not leave the first
+    # sweep's delay curve behind when it has no delay to write.
+    curves = tmp_path / "curves"
+    for m in (1, 0):
+        cfg_file = tmp_path / "scenario.cfg"
+        cfg_file.write_text(f"[run]\nn_regular = 1\nm_urllc = {m}\n"
+                            "schemes = proposed\nseeds = 1\n"
+                            "sim_duration_us = 200000\nwarmup_us = 0\n",
+                            encoding="utf-8")
+        assert main(["--config", str(cfg_file), "--out", str(tmp_path / "s.csv"),
+                     "--curves-dir", str(curves)]) == 0
+    delay = (curves / "urllc_delay_mean_us_proposed.dat").read_text()
+    assert delay == "# M  urllc_delay_mean_us (proposed, mean over seeds)\n"

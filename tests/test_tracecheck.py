@@ -315,6 +315,12 @@ def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
     k2 = next(i for i, line in enumerate(lines) if '"tx_start"' in line and i > k)
     j = next(j for j, line in enumerate(lines) if '"tx_end"' in line)
     a = next(a for a, line in enumerate(lines) if '"arrival"' in line)
+    on = next(i for i, line in enumerate(lines) if '"tone_on"' in line)
+    off = next(i for i, line in enumerate(lines) if '"tone_off"' in line)
+    d = next(i for i, line in enumerate(lines) if '"delivered"' in line)
+    arrived = {rec["frame"]: rec["t"] for rec in map(json.loads, lines[:d])
+               if rec["kind"] == "arrival"}
+    early = arrived[json.loads(lines[d])["frame"]] - 1
     first_tx = json.loads(lines[k])["tx"]
     for i, broken, what in (
             (k, lines[k][:-5], "JSONDecodeError"),
@@ -339,7 +345,13 @@ def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
             (k2, json.dumps(dict(json.loads(lines[k2]), tx=first_tx)),
              f"tx {first_tx} already started"),
             (j + 1, lines[j], "already ended"),
-            (a + 1, lines[a], "arrived while still open")):
+            (a + 1, lines[a], "arrived while still open"),
+            # a record that goes back in time within one tone span or frame
+            (off, json.dumps(dict(json.loads(lines[off]),
+                                  t=json.loads(lines[on])["t"] - 1)),
+             "earlier than the start"),
+            (d, json.dumps(dict(json.loads(lines[d]), t=early)),
+             f"delivered at {early}, before its arrival")):
         malformed = tmp_path / "malformed.jsonl"
         malformed.write_text("\n".join(lines[:i] + [broken] + lines[i + 1:]))
         out = tracecheck_cli(str(malformed))

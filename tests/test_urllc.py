@@ -4,6 +4,8 @@ URLLC AIFS is 34 (aifsn 2), data 200, ack 44, so an uncontended service
 takes exactly 34 + 200 + 16 + 44 = 294 us from arrival to ack end.
 """
 
+from btwifi.engine import Engine
+from btwifi.mac import Station
 from conftest import Bench
 
 
@@ -114,6 +116,38 @@ def test_suspension_freezes_regular_counter_through_whole_tone():
     assert reg_b.rng.uniform_calls == [(0, 15)]  # never re-drawn
 
 
+def test_the_tone_arms_no_listener_that_it_freezes_in_the_same_microsecond(
+        monkeypatch):
+    # r0's abort at the tone onset empties the channel.  The tone is heard
+    # before any listener is told, so that idle edge arms neither r1 nor r2:
+    # an arm made and frozen in one microsecond would be a wasted event.
+    made, wasted = {}, []
+    schedule, freeze = Engine.schedule, Station._freeze
+
+    def recording_schedule(engine, fire_at, fn):
+        ev = schedule(engine, fire_at, fn)
+        made[id(ev)] = (ev, engine.now)  # holding ev keeps its id unique
+        return ev
+
+    def recording_freeze(sta, ev, t):
+        if made[id(ev)][1] == t:
+            wasted.append((t, sta.sta_id))
+        freeze(sta, ev, t)
+
+    monkeypatch.setattr(Engine, "schedule", recording_schedule)
+    monkeypatch.setattr(Station, "_freeze", recording_freeze)
+    b = Bench()
+    stations = [b.add_regular("r0", draws=[0, 3]), b.add_regular("r1", draws=[5]),
+                b.add_regular("r2", draws=[7])]
+    u = b.add_urllc("u0")
+    for sta in stations:
+        b.enqueue_at(0, sta)
+    b.enqueue_at(500, u)
+    b.run(6000)
+    assert [(e["sta"], e["t"]) for e in b.events("preempted")] == [("r0", 500)]
+    assert wasted == []
+
+
 def test_tone_onset_on_the_transmit_boundary_cancels_the_start():
     # The regular station would fire exactly at t=43; the tone asserted in
     # the same microsecond (earlier in dispatch order) stops it before any
@@ -207,15 +241,3 @@ def test_legacy_station_uses_plain_edca_with_urllc_parameters():
     assert b.events("tone_on") == [] and b.events("preempted") == []
     (delivered,) = b.events("delivered")
     assert delivered["delay"] == 294 + 2 * 9
-
-
-def test_regular_station_ignores_tones_when_scheme_disabled():
-    b = Bench()
-    reg = b.add_regular("r0", draws=[0], reacts_to_tone=False)
-    b.enqueue_at(0, reg)
-    # a rogue tone appears; with the scheme off nobody reacts
-    b.engine.schedule(100, lambda: b.medium.busy_tone_set("x", True))
-    b.run(4000)
-    ends = [e for e in b.events("tx_end")]
-    assert ends[0]["outcome"] == "clean"
-    assert not reg.suspended
