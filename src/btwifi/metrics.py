@@ -35,6 +35,8 @@ def nearest_rank(sorted_samples: list, pct: int):
 
 @dataclass(slots=True)
 class RunSummary:
+    """Exactly the summary CSV's columns, one field per sweep.CSV_COLUMNS
+    entry.  Per-frame and per-station facts are in the run's trace."""
     scheme: str
     m_urllc: int
     n_regular: int
@@ -42,18 +44,13 @@ class RunSummary:
     sim_duration: SimTime
     warmup: SimTime
     urllc_delay_mean: Optional[float]
-    urllc_delay_median: Optional[int]
-    urllc_delay_p95: Optional[int]
     urllc_delay_p99: Optional[int]
-    urllc_delay_max: Optional[int]
     urllc_delivered: int
     urllc_dropped: int
     urllc_collided: int
     regular_throughput_bps: float
     regular_delivered: int
-    regular_dropped: int
     regular_preempted: int
-    regular_collided: int
     channel_busy_fraction: float
 
 
@@ -75,7 +72,6 @@ class MetricsCollector:
         self.dropped = dict.fromkeys(CLASSES, 0)
         self.collided = dict.fromkeys(CLASSES, 0)
         self.preempted = 0
-        self.per_sta_delivered: dict[str, int] = {}
         self.urllc_delays: list[int] = []
         self.regular_bits = 0
         self._busy_since: Optional[SimTime] = None
@@ -89,7 +85,6 @@ class MetricsCollector:
     def on_delivered(self, t: SimTime, sta: str, cls: str, frame,
                      payload_bits: int) -> None:
         self.delivered[cls] += 1
-        self.per_sta_delivered[sta] = self.per_sta_delivered.get(sta, 0) + 1
         if cls == "urllc":
             if frame.arrival_time >= self.warmup:
                 self.urllc_delays.append(t - frame.arrival_time)
@@ -148,18 +143,15 @@ def summarize(scheme: str, m: int, n: int, seed: int, duration: SimTime,
     window = duration - warmup
     samples = sorted(delays)
     if samples:
-        mean = sum(samples) / len(samples)
-        median, p95, p99, dmax = (nearest_rank(samples, p) for p in (50, 95, 99, 100))
+        mean, p99 = sum(samples) / len(samples), nearest_rank(samples, 99)
     else:
-        mean = median = p95 = p99 = dmax = None
+        mean = p99 = None
     return RunSummary(
         scheme=scheme, m_urllc=m, n_regular=n, seed=seed,
         sim_duration=duration, warmup=warmup,
-        urllc_delay_mean=mean, urllc_delay_median=median, urllc_delay_p95=p95,
-        urllc_delay_p99=p99, urllc_delay_max=dmax,
+        urllc_delay_mean=mean, urllc_delay_p99=p99,
         urllc_delivered=delivered["urllc"], urllc_dropped=dropped["urllc"],
         urllc_collided=collided["urllc"],
         regular_throughput_bps=regular_bits * 1_000_000 / window,
-        regular_delivered=delivered["regular"], regular_dropped=dropped["regular"],
-        regular_preempted=preempted, regular_collided=collided["regular"],
+        regular_delivered=delivered["regular"], regular_preempted=preempted,
         channel_busy_fraction=busy / window)

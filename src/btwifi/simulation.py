@@ -41,9 +41,7 @@ class RunConfig:
 @dataclass(slots=True)
 class RunResult:
     summary: RunSummary
-    urllc_delays: list
-    per_sta_delivered: dict
-    trace_lines: Optional[list] = None
+    trace_lines: Optional[list]  # the JSONL lines of a traced run, else None
 
 
 def run_single(cfg: RunConfig) -> RunResult:
@@ -78,6 +76,4 @@ def run_single(cfg: RunConfig) -> RunResult:
             in_flight[sta.traffic_class] += 1
     summary = collector.finalize(cfg.scheme, cfg.m_urllc, cfg.n_regular,
                                  cfg.seed, in_flight)
-    return RunResult(summary, collector.urllc_delays,
-                     dict(collector.per_sta_delivered),
-                     collector.lines if cfg.trace else None)
+    return RunResult(summary, collector.lines if cfg.trace else None)

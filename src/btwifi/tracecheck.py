@@ -83,11 +83,12 @@ def load_records(lines: Iterable[str]) -> Trace:
     tx_end without a tx_start, a tx_start or tx_end repeated for one tx id,
     a tx_start whose duration is below 1, a tone_off without a tone_on or
     earlier than the start of its tone span, a tone span that starts before
-    the one before it ended, an arrival of a frame still open, a delivered
-    or dropped frame that never arrived, a frame delivered before it
-    arrived, and an ftype, outcome or frame class that the simulator never
-    writes.  Records are otherwise free to go back in time: the physics
-    checks, not the parse, judge a record that is out of order.
+    the one before it ended, an arrival of a frame still open, a delivered,
+    dropped or preempted frame that is not open, a frame delivered, dropped
+    or preempted before it arrived, and an ftype, outcome or frame class
+    that the simulator never writes.  Records are otherwise free to go back
+    in time: the physics checks, not the parse, judge a record that is out
+    of order.
     """
     txs: dict[int, TxRecord] = {}
     spans: list[tuple[int, int]] = []
@@ -130,13 +131,20 @@ def load_records(lines: Iterable[str]) -> Trace:
                 if frame in open_frames:
                     raise ValueError(f"frame {frame!r} arrived while still open")
                 open_frames[frame] = (t, cls)
-            elif kind == "delivered":
+            elif kind in ("delivered", "dropped", "preempted"):
                 frame = rec["frame"]
-                arrival, cls = open_frames.pop(frame)
+                # a preempted frame is sent again, so it stays open
+                arrival, cls = (open_frames[frame] if kind == "preempted"
+                                else open_frames.pop(frame))
                 if t < arrival:
-                    raise ValueError(f"frame {frame!r} delivered at {t}, "
+                    raise ValueError(f"frame {frame!r} {kind} at {t}, "
                                      f"before its arrival at {arrival}")
-                delivered.append((t, arrival, cls))
+                if kind == "delivered":
+                    delivered.append((t, arrival, cls))
+                elif kind == "dropped":
+                    dropped[cls] += 1
+                else:
+                    preempted += 1
             elif kind == "tone_on":
                 if level == 0:
                     # keeps the spans sorted and disjoint, as the tone check needs
@@ -154,10 +162,6 @@ def load_records(lines: Iterable[str]) -> Trace:
                                      f"start {start} of its tone span")
                 if level == 0 and t > start:
                     spans.append((start, t))
-            elif kind == "dropped":
-                dropped[open_frames.pop(rec["frame"])[1]] += 1
-            elif kind == "preempted":
-                preempted += 1
         except (KeyError, TypeError, ValueError) as exc:
             raise _malformed(lineno, exc) from exc
     return Trace(txs, spans, start if level else None, delivered,

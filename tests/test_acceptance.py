@@ -5,6 +5,7 @@ Heavier shared workloads (the M sweep and the traced mini-grid) live in
 module-scoped fixtures so several criteria can share one execution.
 """
 
+import json
 import time
 
 import pytest
@@ -55,12 +56,19 @@ def traced_grid():
     return out
 
 
+def urllc_delays(lines):
+    """The delay of every delivered URLLC frame in a trace, warm-up included."""
+    records = map(json.loads, lines)
+    return [r["delay"] for r in records
+            if r["kind"] == "delivered" and r["sta"].startswith("u")]
+
+
 def test_criterion_1_fast_path_delay_is_exactly_294us():
     cfg = ScenarioConfig(n_regular=0)
     t0 = time.time()
-    res = run_single(cfg.run_config("proposed", 1, 1))
+    res = run_single(cfg.run_config("proposed", 1, 1, trace=True))
     wall = time.time() - t0
-    delays = res.urllc_delays
+    delays = urllc_delays(res.trace_lines)
     ok = (len(delays) > 0 and all(d == 294 for d in delays)
           and res.summary.urllc_dropped == 0 and wall < 5)
     report(1, ok, f"{len(delays)} delivered frames, delays "
@@ -176,10 +184,12 @@ def test_criterion_8_legacy_equivalence(traced_grid):
     # a lone legacy station with the low-latency parameters behaves as plain
     # EDCA: delay = AIFS(34) + backoff in {0..3} slots + 200 + 16 + 44
     res = run_single(ScenarioConfig(n_regular=0, sim_duration=10_000_000)
-                     .run_config("legacy", 1, 2))
+                     .run_config("legacy", 1, 2, trace=True))
+    delays = urllc_delays(res.trace_lines)
     allowed = {294 + 9 * k for k in range(4)}
-    delays_ok = set(res.urllc_delays) <= allowed and len(set(res.urllc_delays)) >= 3
+    delays_ok = set(delays) <= allowed and len(set(delays)) >= 3
     ok = tone_free and delays_ok
     report(8, ok, f"legacy traces free of tone/preemption events: {tone_free}; "
            f"lone legacy low-latency station shows plain EDCA delays "
-           f"{sorted(set(res.urllc_delays))} within {sorted(allowed)}")
+           f"{sorted(set(delays))} within {sorted(allowed)} "
+           f"over {len(delays)} delivered frames")

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -13,8 +14,10 @@ from btwifi.sweep import SweepError, render_csv, run_sweep
 def test_two_saturated_stations_share_fairly():
     # >= 60 s simulated; per-station delivered counts within 5%.
     cfg = ScenarioConfig(n_regular=2, sim_duration=60_000_000, warmup=0)
-    res = run_single(cfg.run_config("legacy", 0, 1))
-    counts = [res.per_sta_delivered["r0"], res.per_sta_delivered["r1"]]
+    res = run_single(cfg.run_config("legacy", 0, 1, trace=True))
+    per_sta = Counter(r["sta"] for r in map(json.loads, res.trace_lines)
+                      if r["kind"] == "delivered")
+    counts = [per_sta["r0"], per_sta["r1"]]
     assert abs(counts[0] - counts[1]) / max(counts) < 0.05
 
 
@@ -29,12 +32,11 @@ def test_frame_accounting_balances_at_sim_end():
         assert 0.0 <= s.channel_busy_fraction <= 1.0
 
 
-def test_urllc_delay_percentiles_are_ordered():
+def test_urllc_delay_mean_and_p99_are_at_least_the_fast_path():
     cfg = ScenarioConfig(n_regular=6, sim_duration=5_000_000, warmup=500_000)
     s = run_single(cfg.run_config("proposed", 8, 3)).summary
-    assert s.urllc_delay_median <= s.urllc_delay_p95 \
-        <= s.urllc_delay_p99 <= s.urllc_delay_max
     assert s.urllc_delay_mean >= 294
+    assert s.urllc_delay_p99 >= 294
 
 
 def test_proposed_beats_legacy_on_delay_single_seed():
@@ -125,4 +127,5 @@ def test_detection_delay_shifts_abort_but_not_fast_path(delay):
     assert scan_trace(res.trace_lines, cfg.sim_duration, cfg.warmup,
                       detection_delay=delay) == []
     # the delay of a preempting arrival is unchanged: fast path is 294 us
-    assert min(res.urllc_delays) == 294
+    assert min(r["delay"] for r in recs
+               if r["kind"] == "delivered" and r["sta"] == "u0") == 294

@@ -1,14 +1,15 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from btwifi.cli import main
 from btwifi.config import ScenarioConfig
 from btwifi.engine import ContractViolation
+from btwifi.metrics import RunSummary
 from btwifi.simulation import run_single
-from btwifi.sweep import (CSV_HEADER, expand_grid, render_csv, run_sweep,
-                          summary_row, trace_filename)
+from btwifi.sweep import (CSV_COLUMNS, CSV_HEADER, expand_grid, render_csv,
+                          run_sweep, summary_row, trace_filename)
 
 QUICK = ScenarioConfig(n_regular=2, m_list=(0, 1), schemes=("legacy", "proposed"),
                        seeds=(1, 2), sim_duration=1_000_000, warmup=100_000)
@@ -34,6 +35,11 @@ def test_csv_shape_and_header():
     # every row parses into the same number of fields as the header
     width = len(CSV_HEADER.split(","))
     assert all(len(line.split(",")) == width for line in lines[1:])
+
+
+def test_run_summary_holds_exactly_the_csv_columns():
+    # a field no column writes would be computed and returned but reach no output
+    assert {f.name for f in fields(RunSummary)} == {attr for _, attr in CSV_COLUMNS}
 
 
 def test_m_zero_rows_have_empty_delay_fields():

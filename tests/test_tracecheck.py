@@ -322,6 +322,9 @@ def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
                if rec["kind"] == "arrival"}
     early = arrived[json.loads(lines[d])["frame"]] - 1
     first_tx = json.loads(lines[k])["tx"]
+
+    def at_early(kind):  # the first delivered frame's record, as `kind`, too early
+        return json.dumps(dict(json.loads(lines[d]), kind=kind, t=early))
     for i, broken, what in (
             (k, lines[k][:-5], "JSONDecodeError"),
             (k, lines[k].replace('"dur":', '"d":'), "KeyError: 'dur'"),
@@ -350,8 +353,12 @@ def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
             (off, json.dumps(dict(json.loads(lines[off]),
                                   t=json.loads(lines[on])["t"] - 1)),
              "earlier than the start"),
-            (d, json.dumps(dict(json.loads(lines[d]), t=early)),
-             f"delivered at {early}, before its arrival")):
+            (d, at_early("delivered"), f"delivered at {early}, before its arrival"),
+            (d, at_early("dropped"), f"dropped at {early}, before its arrival"),
+            (d, at_early("preempted"), f"preempted at {early}, before its arrival"),
+            # a preempted frame stays open, but it must be one
+            (k, '{"t": 5, "kind": "preempted", "sta": "r0", "frame": "nope"}',
+             "KeyError: 'nope'")):
         malformed = tmp_path / "malformed.jsonl"
         malformed.write_text("\n".join(lines[:i] + [broken] + lines[i + 1:]))
         out = tracecheck_cli(str(malformed))
