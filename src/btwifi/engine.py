@@ -5,10 +5,12 @@ duration used by the MAC (slot, SIFS, AIFS, airtimes) is an exact integer
 number of microseconds, so there is no floating-point time anywhere in the
 event loop and two runs with the same seed produce byte-identical traces.
 
-Events with equal fire time dispatch in insertion order.  Collisions are
-decided by interval overlap in any order, but a regular station's backoff
-expiry and a tone onset in the same microsecond freeze the station or
-preempt a zero-length transmission, whichever was scheduled first.
+Events with equal fire time dispatch in insertion order.  Frames that
+touch never collide whatever that order, and legacy runs depend on no
+other tie.  With the busy tone the order still decides four ties within a
+microsecond: a heard tone edge against a no-backoff launch or against a
+regular backoff expiry, a tone release against an assertion, and a heard
+idle edge against a heard busy edge.
 """
 
 from __future__ import annotations

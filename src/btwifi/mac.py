@@ -5,8 +5,10 @@ Timing model (integer microseconds):
 * AIFS = SIFS + aifsn * slot.
 * A station whose head frame is pending arms a transmission for
   ``idle_from + AIFS + counter * slot`` as soon as the main channel is
-  idle; the backoff counter decrements at each slot boundary after the
-  AIFS, and the frame goes on air at the boundary where it reaches 0.
+  idle (``Station.on_main_idle`` holds this rule; it is called on every
+  idle edge and by ``_try_arm``); the backoff counter decrements at each
+  slot boundary after the AIFS, and the frame goes on air at the boundary
+  where it reaches 0.
 * The armed event, an engine heap entry ``[fire_at, seq, fn]``, is the
   only record of counting progress: fire_at is where the counter reaches
   0.  When the channel turns busy at t the event is cancelled and the
@@ -20,6 +22,8 @@ Timing model (integer microseconds):
 * Every backoff draw is uniform on [0, cw] with
   cw = min((cw_min+1) * 2^retry - 1, cw_max), so failed attempts double
   the contention window; frames exceeding the retry limit are dropped.
+* ``Station._after_service`` is the one way out of service, delivered or
+  dropped: it empties the buffer and tells the source.
 
 Every plain ``Station`` obeys the tone (``obeys_tone``);
 ``UrllcStation``, the only class that raises a tone, does not.  A
@@ -132,13 +136,8 @@ class Station:
 
     def _try_arm(self) -> None:
         """(Re)start counting if the frame may contend right now."""
-        if (not self.waiting or self._arm_ev is not None
-                or (self.medium.tone_heard and self.obeys_tone)
-                or self.medium.is_main_busy()):
-            return
-        self._arm_ev = self.engine.schedule(
-            self.engine.now + self.aifs_us + self.counter * self.phy.slot_time,
-            self._fire_tx)
+        if not self.medium.is_main_busy():
+            self.on_main_idle(self.engine.now)
 
     def _freeze(self, ev: list, t: SimTime) -> None:
         """Cancel the armed transmission at t; keep the slots still left."""
@@ -156,8 +155,7 @@ class Station:
             self._freeze(ev, t)
 
     def on_main_idle(self, t: SimTime) -> None:
-        # Hot path (called on every busy->idle edge): inlined _try_arm minus
-        # the medium-idle check, which the transition itself guarantees.
+        # The arming rule; hot path, called on every busy->idle edge.
         if self.waiting and self._arm_ev is None \
                 and not (self.medium.tone_heard and self.obeys_tone):
             self._arm_ev = self.engine.schedule(
@@ -220,7 +218,10 @@ class Station:
         if outcome == CLEAN:
             self.engine.cancel(self._timeout_ev)
             self._timeout_ev = None
-            self._complete_delivered()
+            self.collector.on_delivered(self.engine.now, self.sta_id,
+                                        self.traffic_class, self.head,
+                                        self.params.payload_bits)
+            self._after_service("delivered")
         # A collided ack is indistinguishable from no ack: let the timeout fire.
 
     def _on_ack_timeout(self) -> None:
@@ -229,18 +230,11 @@ class Station:
         if self.retry_count > self.params.retry_limit:
             self.collector.on_dropped(self.engine.now, self.sta_id,
                                       self.traffic_class, self.head)
-            self.head = None
             self._after_service("dropped")
             return
         self._contend()
 
-    def _complete_delivered(self) -> None:
-        self.collector.on_delivered(self.engine.now, self.sta_id,
-                                    self.traffic_class, self.head,
-                                    self.params.payload_bits)
-        self.head = None
-        self._after_service("delivered")
-
     def _after_service(self, outcome: str) -> None:
+        self.head = None
         if self.source is not None:
             self.source.on_service_complete()

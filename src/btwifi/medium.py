@@ -3,8 +3,8 @@
 Main channel model: no capture, no noise.  A transmission is delivered iff
 its airtime interval [start, end) intersects no other transmission's
 interval; back-to-back frames (one ending exactly when the next starts) do
-not collide.  Aborted transmissions keep their truncated interval for
-overlap purposes - the energy was on air.
+not collide, whichever event was scheduled first.  Aborted transmissions
+keep their truncated interval for overlap purposes - the energy was on air.
 
 Tone channel model: a set of stations may assert a continuous tone;
 listeners only see busy/idle, so overlapping tones are indistinguishable
@@ -37,9 +37,10 @@ class Transmission:
 class Medium:
     """Owns both channels; mutated only from its run's event loop.
 
-    listeners is the ordered list of stations told about main-channel
-    busy/idle edges; tone_listeners lists, in the same order, the stations
-    that obey the tone and are told about its edges.  Each station appends
+    listeners is the ordered list told about main-channel busy/idle edges:
+    the collector first, which measures busy time from them, then the
+    stations.  tone_listeners lists, in the same order, the stations that
+    obey the tone and are told about its edges.  Each station appends
     itself when it is built, so both lists follow construction order, and
     broadcasts iterate them in that order so runs are reproducible.
 
@@ -53,7 +54,7 @@ class Medium:
         self.engine = engine
         self.detection_delay = detection_delay
         self.collector = collector
-        self.listeners: list = []
+        self.listeners: list = [collector]
         self.tone_listeners: list = []
         self.tone_heard = False
         self._active: dict[int, Transmission] = {}
@@ -68,6 +69,11 @@ class Medium:
     def begin_transmission(self, sta: str, ftype: str, duration: SimTime,
                            on_end: Callable[[str], None], frame_id=None) -> Transmission:
         now = self.engine.now
+        if self._active:  # frames ending now only touch this one: end them first
+            for other in tuple(self._active.values()):
+                if other._end_ev[0] == now:
+                    self.engine.cancel(other._end_ev)
+                    self._finish(other)
         was_idle = not self._active
         for other in self._active.values():
             if other.sta == sta:
@@ -79,9 +85,8 @@ class Medium:
         tx._end_ev = self.engine.schedule(now + duration, lambda: self._finish(tx))
         self.collector.on_tx_start(now, sta, tx.tx_id, ftype, duration, frame_id)
         if was_idle:
-            self.collector.on_main_busy(now)
-            for sta_obj in self.listeners:
-                sta_obj.on_main_busy(now)
+            for listener in self.listeners:
+                listener.on_main_busy(now)
         return tx
 
     def abort_transmission(self, tx: Transmission) -> None:
@@ -98,9 +103,8 @@ class Medium:
         del self._active[tx.tx_id]
         self.collector.on_tx_end(now, tx.tx_id, outcome)
         if not self._active:
-            self.collector.on_main_idle(now)
-            for sta_obj in self.listeners:
-                sta_obj.on_main_idle(now)
+            for listener in self.listeners:
+                listener.on_main_idle(now)
         tx.on_end(outcome)
 
     # -- tone (control) channel --------------------------------------------

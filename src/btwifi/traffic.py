@@ -48,8 +48,6 @@ class SaturatedSource(_Source):
 class ExpAfterSuccessSource(_Source):
     def __init__(self, station: Station, mean_interarrival: SimTime,
                  rng: RngStream) -> None:
-        if mean_interarrival <= 0:
-            raise ValueError("mean_interarrival must be positive")
         super().__init__(station)
         self.mean = mean_interarrival
         self.rng = rng

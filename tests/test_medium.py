@@ -64,14 +64,20 @@ def test_overlapping_transmissions_both_collide():
 
 
 def test_back_to_back_transmissions_do_not_collide():
-    # Half-open intervals: the second starts exactly when the first ends.
-    eng, med, _ = make_medium()
-    outcomes = []
-    med.begin_transmission("r0", "regular-data", 1000, outcomes.append)
-    eng.schedule(1000, lambda: med.begin_transmission(
-        "r1", "regular-data", 500, outcomes.append))
-    eng.run_until(2000)
-    assert outcomes == [CLEAN, CLEAN]
+    # Half-open intervals: the second starts exactly when the first ends,
+    # whichever of the end and the start was scheduled first.
+    for start_first in (False, True):
+        eng, med, _ = make_medium()
+        outcomes = []
+        start = lambda: med.begin_transmission("r1", "regular-data", 500,
+                                               outcomes.append)
+        if start_first:
+            eng.schedule(1000, start)
+        med.begin_transmission("r0", "regular-data", 1000, outcomes.append)
+        if not start_first:
+            eng.schedule(1000, start)
+        eng.run_until(2000)
+        assert outcomes == [CLEAN, CLEAN], start_first
 
 
 def test_same_instant_starts_collide():
