@@ -6,11 +6,11 @@ number of microseconds, so there is no floating-point time anywhere in the
 event loop and two runs with the same seed produce byte-identical traces.
 
 Events with equal fire time dispatch in insertion order.  Frames that
-touch never collide whatever that order, and legacy runs depend on no
-other tie.  With the busy tone the order still decides four ties within a
-microsecond: a heard tone edge against a no-backoff launch or against a
-regular backoff expiry, a tone release against an assertion, and a heard
-idle edge against a heard busy edge.
+touch never collide whatever that order, a tone release and an assertion
+in one microsecond give the same result in either order, and legacy runs
+depend on no other tie.  With the busy tone the order still decides two
+ties within a microsecond: a heard tone edge against a no-backoff launch,
+and a heard tone edge against a regular backoff expiry.
 """
 
 from __future__ import annotations

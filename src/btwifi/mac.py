@@ -17,8 +17,11 @@ Timing model (integer microseconds):
   (freeze/resume).  A busy edge landing exactly on the boundary where the
   counter hits 0 does NOT cancel the transmission: the preceding slot was
   idle, so the station transmits and the overlap becomes a collision.
-* After a clean data frame the responder acks SIFS later; the sender's
-  ack timeout sits one guard interval after the expected ack end.
+* After a clean data frame the responder acks SIFS later.  An ack
+  timeout is scheduled only once the exchange has failed: at the end of a
+  collided data frame, for ``end + SIFS + ack + guard``, and at the end of
+  a collided ack, for ``ack end + guard``.  Both are one guard interval
+  after the instant the ack would have ended.
 * Every backoff draw is uniform on [0, cw] with
   cw = min((cw_min+1) * 2^retry - 1, cw_max), so failed attempts double
   the contention window; frames exceeding the retry limit are dropped.
@@ -104,7 +107,6 @@ class Station:
         self.counter = 0
         self.retry_count = 0
         self._arm_ev: Optional[list] = None
-        self._timeout_ev: Optional[list] = None
         self._cur_tx: Optional[Transmission] = None
         medium.listeners.append(self)
         if self.obeys_tone:
@@ -181,25 +183,22 @@ class Station:
         """The one way onto the air: an expired backoff or the fast path."""
         self._arm_ev = None
         self.waiting = False
-        now = self.engine.now
-        p = self.params
         self._cur_tx = self.medium.begin_transmission(
-            self.sta_id, f"{self.traffic_class}-data", p.data_airtime,
+            self.sta_id, f"{self.traffic_class}-data", self.params.data_airtime,
             self._on_data_end, frame_id=self.head.frame_id)
-        timeout_at = now + p.data_airtime + self.phy.sifs + p.ack_airtime \
-            + self.phy.ack_timeout_guard
-        self._timeout_ev = self.engine.schedule(timeout_at, self._on_ack_timeout)
 
     def _on_data_end(self, outcome: str) -> None:
         self._cur_tx = None
         if outcome == CLEAN:
             self.engine.schedule(self.engine.now + self.phy.sifs, self._start_ack)
-        elif outcome == COLLIDED:  # no ack will come; the timeout handles it
-            self.collector.on_collided(self.engine.now, self.sta_id,
-                                       self.traffic_class, self.head)
+        elif outcome == COLLIDED:  # no ack will come: time out where it would end
+            now = self.engine.now
+            self.collector.on_collided(now, self.sta_id, self.traffic_class,
+                                       self.head)
+            self.engine.schedule(
+                now + self.phy.sifs + self.params.ack_airtime
+                + self.phy.ack_timeout_guard, self._on_ack_timeout)
         else:  # ABORTED: the tone preempted us mid-frame
-            self.engine.cancel(self._timeout_ev)
-            self._timeout_ev = None
             self.collector.on_preempted(self.engine.now, self.sta_id,
                                         self.traffic_class, self.head)
             # Re-contend from scratch after the suspension: fresh draw, but
@@ -216,16 +215,15 @@ class Station:
 
     def _on_ack_end(self, outcome: str) -> None:
         if outcome == CLEAN:
-            self.engine.cancel(self._timeout_ev)
-            self._timeout_ev = None
             self.collector.on_delivered(self.engine.now, self.sta_id,
                                         self.traffic_class, self.head,
                                         self.params.payload_bits)
             self._after_service("delivered")
-        # A collided ack is indistinguishable from no ack: let the timeout fire.
+        else:  # a collided ack is indistinguishable from no ack
+            self.engine.schedule(self.engine.now + self.phy.ack_timeout_guard,
+                                 self._on_ack_timeout)
 
     def _on_ack_timeout(self) -> None:
-        self._timeout_ev = None
         self.retry_count += 1
         if self.retry_count > self.params.retry_limit:
             self.collector.on_dropped(self.engine.now, self.sta_id,

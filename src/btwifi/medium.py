@@ -3,14 +3,21 @@
 Main channel model: no capture, no noise.  A transmission is delivered iff
 its airtime interval [start, end) intersects no other transmission's
 interval; back-to-back frames (one ending exactly when the next starts) do
-not collide, whichever event was scheduled first.  Aborted transmissions
-keep their truncated interval for overlap purposes - the energy was on air.
+not collide, whichever event was scheduled first.  A frame whose end falls
+at a new frame's start only touches it, so neither is marked; it stays
+active until its own end event, and the channel has no busy/idle edge in
+between.  A frame leaves the channel only by its end event or by an abort.
+Aborted transmissions keep their truncated interval for overlap purposes -
+the energy was on air.
 
 Tone channel model: a set of stations may assert a continuous tone;
 listeners only see busy/idle, so overlapping tones are indistinguishable
-from a single one.  Single broadcast domain, no hidden stations: main-channel
-transitions reach every station, tone transitions reach every station that
-obeys the tone.
+from a single one.  A tone released at t still counts as asserted before
+t (``Medium.tone_asserted_before``), and at a detection delay d > 0 a
+release and an assertion in one microsecond leave the heard level busy
+with no edge at t + d, so the order of the two decides nothing.  Single
+broadcast domain, no hidden stations: main-channel transitions reach every
+station, tone transitions reach every station that obeys the tone.
 """
 
 from __future__ import annotations
@@ -46,8 +53,9 @@ class Medium:
 
     tone_heard is the control level the listeners last heard: it changes
     at the heard instant, detection_delay after the first assertion or the
-    last release, before any listener is told.  A station that obeys the
-    tone reads it to know that it is suspended.
+    last release, before any listener is told.  A release followed by an
+    assertion in the same microsecond does not change it.  A station that
+    obeys the tone reads it to know that it is suspended.
     """
 
     def __init__(self, engine: Engine, detection_delay: SimTime, collector) -> None:
@@ -60,6 +68,8 @@ class Medium:
         self._active: dict[int, Transmission] = {}
         self._next_tx_id = 0
         self._tones: dict[str, SimTime] = {}  # sta -> assertion time
+        self._released_at: SimTime = -1  # instant of the latest release
+        self._last_edge: object = None  # the heard edge scheduled last
 
     # -- main data channel ------------------------------------------------
 
@@ -69,17 +79,15 @@ class Medium:
     def begin_transmission(self, sta: str, ftype: str, duration: SimTime,
                            on_end: Callable[[str], None], frame_id=None) -> Transmission:
         now = self.engine.now
-        if self._active:  # frames ending now only touch this one: end them first
-            for other in tuple(self._active.values()):
-                if other._end_ev[0] == now:
-                    self.engine.cancel(other._end_ev)
-                    self._finish(other)
         was_idle = not self._active
+        dirty = False
         for other in self._active.values():
+            if other._end_ev[0] == now:  # touches this frame; ends by its own event
+                continue
             if other.sta == sta:
                 raise ContractViolation(f"{sta} began a second transmission at t={now}")
-            other.dirty = True
-        tx = Transmission(self._next_tx_id, sta, on_end, dirty=not was_idle)
+            other.dirty = dirty = True
+        tx = Transmission(self._next_tx_id, sta, on_end, dirty=dirty)
         self._next_tx_id += 1
         self._active[tx.tx_id] = tx
         tx._end_ev = self.engine.schedule(now + duration, lambda: self._finish(tx))
@@ -112,16 +120,24 @@ class Medium:
     def tone_asserted_before(self, t: SimTime) -> bool:
         """True iff some tone was already up strictly before instant t.
 
-        Arrivals that assert within the same microsecond therefore each see
-        an idle control channel; they all go on to transmit immediately and
-        collide with each other, which is exactly the contention the scheme
-        leaves unresolved.
+        A tone released at t still counts as up at t, so an arrival sees
+        the same channel whether the release or its assertion runs first.
+        Arrivals that assert within the same microsecond each see an idle
+        control channel; they all go on to transmit immediately and collide
+        with each other, which is exactly the contention the scheme leaves
+        unresolved.
         """
-        return any(since < t for since in self._tones.values())
+        return self._released_at == t or any(
+            since < t for since in self._tones.values())
 
     def busy_tone_set(self, sta: str, on: bool) -> None:
         """Assert/release sta's tone.  The first assertion and the last
-        release are the control channel's busy and idle edges."""
+        release are the control channel's busy and idle edges.
+
+        With a detection delay, an assertion in the microsecond of the last
+        release cancels the pending idle edge instead of scheduling a busy
+        one: the heard level has no zero-length gap.
+        """
         now = self.engine.now
         if on:
             if sta in self._tones:
@@ -129,13 +145,17 @@ class Medium:
             self._tones[sta] = now
         elif self._tones.pop(sta, None) is None:
             raise ContractViolation(f"{sta} released a tone it does not hold")
+        else:
+            self._released_at = now
         if len(self._tones) != (1 if on else 0):
             return
         if self.detection_delay == 0:
             self._deliver_control(on)
+        elif on and self._released_at == now:  # the last edge is that idle edge
+            self.engine.cancel(self._last_edge)
         else:
-            self.engine.schedule(now + self.detection_delay,
-                                 lambda: self._deliver_control(on))
+            self._last_edge = self.engine.schedule(
+                now + self.detection_delay, lambda: self._deliver_control(on))
 
     def _deliver_control(self, busy: bool) -> None:
         now = self.engine.now

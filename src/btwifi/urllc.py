@@ -7,14 +7,15 @@ vacate the main channel and suspend their backoff, so low-latency frames
 only ever contend with each other.
 
 An arrival raises its tone first, then launches or contends.  If no tone
-was up before that instant, the station is the only one with low-latency
-traffic and skips the backoff: its data goes on air one AIFS after the
-tone onset, ack SIFS after that, so a preempted regular transmitter has
-the AIFS to vacate; a heard tone edge landing on the launch instant was
-scheduled first and so removes the preempted frame first.  Otherwise the
-station joins the tone and enters ``Station._contend``, counting against
-main-channel idleness - the tone never freezes another tone holder's
-backoff, otherwise all holders would deadlock.
+was up before that instant (one released at that instant still counts),
+the station is the only one with low-latency traffic and skips the
+backoff: its data goes on air one AIFS after the tone onset, ack SIFS
+after that, so a preempted regular transmitter has the AIFS to vacate; a
+heard tone edge landing on the launch instant was scheduled first and so
+removes the preempted frame first.  Otherwise the station joins the tone
+and enters ``Station._contend``, counting against main-channel idleness -
+the tone never freezes another tone holder's backoff, otherwise all
+holders would deadlock.
 
 Arrivals within the same microsecond each see an idle control channel and
 each take the no-backoff path; the resulting collision between them is

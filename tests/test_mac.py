@@ -1,7 +1,7 @@
 """EDCA state-machine timelines, checked against hand-computed schedules.
 
 Defaults used throughout: slot 9, SIFS 16, regular AIFS 43 (aifsn 3),
-data 2000, ack 44, ack timeout at data_end + 16 + 44 + 9.
+data 2000, ack 44; a failed exchange times out at data_end + 16 + 44 + 9.
 """
 
 import random
@@ -141,6 +141,20 @@ def test_cw_ladder_and_drop_at_retry_limit():
     assert b.events("delivered") == []
     assert b.collector.dropped["regular"] == 2
     assert b.collector.collided["regular"] == 16
+
+
+def test_clean_exchange_schedules_no_ack_timeout():
+    # The timeout is scheduled only once the exchange has failed.
+    b = Bench()
+    a = b.add_regular("r0", draws=[5])
+    scheduled = []
+    schedule = b.engine.schedule
+    b.engine.schedule = lambda t, fn: scheduled.append(fn) or schedule(t, fn)
+    b.enqueue_at(0, a)
+    b.run(5000)
+    assert [e["outcome"] for e in b.events("tx_end")] == ["clean", "clean"]
+    assert a._fire_tx in scheduled
+    assert a._on_ack_timeout not in scheduled
 
 
 def test_collided_ack_is_treated_as_timeout():

@@ -243,3 +243,42 @@ def test_busy_flags_during_priority_exchange():
     assert probes[340] == (False, True)   # SIFS gap before the ack
     assert probes[370] == (True, True)    # ack on air
     assert probes[396] == (False, False)  # everything done
+
+
+def release_and_assert_at_500(release_first, detection_delay=0):
+    """u0 holds the tone from 100; at 500 u0 releases and u1 asserts.
+
+    u1 first reads tone_asserted_before(500), as an arrival does; the
+    returned list holds what it saw.
+    """
+    eng, med, sink = make_medium(detection_delay)
+    seen = []
+
+    def release():
+        med.busy_tone_set("u0", False)
+
+    def assert_u1():
+        seen.append(med.tone_asserted_before(500))
+        med.busy_tone_set("u1", True)
+
+    eng.schedule(100, lambda: med.busy_tone_set("u0", True))
+    for fn in ((release, assert_u1) if release_first else (assert_u1, release)):
+        eng.schedule(500, fn)
+    eng.run_until(1000)
+    return med, sink, seen
+
+
+def test_a_tone_released_at_t_still_counts_as_up_at_t():
+    # Tie kind (D): the new holder's view must not hang on the event order.
+    for release_first in (True, False):
+        _, _, seen = release_and_assert_at_500(release_first)
+        assert seen == [True], release_first
+
+
+def test_a_release_and_an_assertion_in_one_microsecond_leave_no_heard_gap():
+    # Tie kind (E): with a detection delay the heard level stays busy, with
+    # no idle edge and no busy edge at 505, whichever order ran first.
+    for release_first in (True, False):
+        med, sink, _ = release_and_assert_at_500(release_first, detection_delay=5)
+        assert control_edges(sink) == [("control-busy", 105)], release_first
+        assert control_busy(sink) and med.tone_heard, release_first
