@@ -3,20 +3,24 @@
 Timing model (integer microseconds):
 
 * AIFS = SIFS + aifsn * slot.
-* A station whose head frame is pending arms a transmission for
+* A station whose head frame is pending is armed for
   ``idle_from + AIFS + counter * slot`` as soon as the main channel is
-  idle (``Station.on_main_idle`` holds this rule; it is called on every
-  idle edge and by ``_try_arm``); the backoff counter decrements at each
-  slot boundary after the AIFS, and the frame goes on air at the boundary
-  where it reaches 0.
-* The armed event, an engine heap entry ``[fire_at, seq, fn]``, is the
-  only record of counting progress: fire_at is where the counter reaches
-  0.  When the channel turns busy at t the event is cancelled and the
-  counter becomes the slots still left between t and fire_at, rounded
-  up: a partially elapsed slot is not spent
-  (freeze/resume).  A busy edge landing exactly on the boundary where the
-  counter hits 0 does NOT cancel the transmission: the preceding slot was
-  idle, so the station transmits and the overlap becomes a collision.
+  idle; the backoff counter decrements at each slot boundary after the
+  AIFS, and the frame goes on air at the boundary where it reaches 0.
+  ``Medium.arm`` holds this rule.  At every idle edge the medium arms
+  all the waiting stations through it behind one event
+  (``Medium._arm_cohort``).  A station that starts waiting on an idle
+  channel arms itself through it with its own event
+  (``Station.on_main_idle``, through ``_try_arm``): a new frame, a retry,
+  a re-contention after an abort, and a tone clear.
+* ``Station.fire_at`` is the only record of counting progress: the
+  instant where the counter reaches 0, None while not armed.  When the
+  channel turns busy at t the arm is dropped and the counter becomes the
+  slots still left between t and fire_at, rounded up: a partially elapsed
+  slot is not spent (freeze/resume, ``Station._freeze``).  A busy edge
+  landing exactly on the boundary where the counter hits 0 does NOT
+  cancel the transmission: the preceding slot was idle, so the station
+  transmits and the overlap becomes a collision.
 * After a clean data frame the responder acks SIFS later.  An ack
   timeout is scheduled only once the exchange has failed: at the end of a
   collided data frame, for ``end + SIFS + ack + guard``, and at the end of
@@ -31,7 +35,7 @@ Timing model (integer microseconds):
 Every plain ``Station`` obeys the tone (``obeys_tone``);
 ``UrllcStation``, the only class that raises a tone, does not.  A
 station registers itself with its medium when it is built: in
-``Medium.listeners``, and in ``Medium.tone_listeners`` if it obeys the
+``Medium.stations``, and in ``Medium.tone_listeners`` if it obeys the
 tone.  A legacy low-latency station is a plain ``Station`` and so a tone
 listener too, but the legacy scheme never raises a tone.  A station that
 obeys the tone aborts an ongoing transmission and freezes its backoff
@@ -39,8 +43,8 @@ the moment the tone is detected, and does not arm while
 ``Medium.tone_heard`` is set: suspension
 is the medium's heard level, set before any listener is told, so the
 main-channel idle edge left by the first abort arms no later listener.
-Main-channel edges arm only a ``waiting`` station, one whose head frame
-contends, so never a low-latency station on the no-backoff path.
+Only a ``waiting`` station, one whose head frame contends, is ever
+armed, so never a low-latency station on the no-backoff path.
 ``Station._contend`` is the way into contention for every station class:
 a new frame, a retry, a re-contention after a tone abort, and a
 low-latency frame joining a tone.  A tone-triggered abort is not treated
@@ -106,9 +110,10 @@ class Station:
         self.head: Optional[Frame] = None
         self.counter = 0
         self.retry_count = 0
-        self._arm_ev: Optional[list] = None
+        self.fire_at: Optional[SimTime] = None  # where the armed counter hits 0
+        self._arm_ev: Optional[list] = None  # own event of an off-edge arm
         self._cur_tx: Optional[Transmission] = None
-        medium.listeners.append(self)
+        medium.stations.append(self)
         if self.obeys_tone:
             medium.tone_listeners.append(self)
 
@@ -141,36 +146,39 @@ class Station:
         if not self.medium.is_main_busy():
             self.on_main_idle(self.engine.now)
 
-    def _freeze(self, ev: list, t: SimTime) -> None:
-        """Cancel the armed transmission at t; keep the slots still left."""
-        ev[2] = None  # inline Engine.cancel: this runs on every busy edge
-        self._arm_ev = None
-        left = (ev[0] - t + self.phy.slot_time - 1) // self.phy.slot_time
+    def _freeze(self, t: SimTime) -> None:
+        """Disarm at t; keep the slots still left, a partial one included."""
+        ev = self._arm_ev
+        if ev is not None:
+            ev[2] = None  # inline Engine.cancel
+            self._arm_ev = None
+        left = (self.fire_at - t + self.phy.slot_time - 1) // self.phy.slot_time
         if left < self.counter:
             self.counter = left
+        self.fire_at = None
 
     def on_main_busy(self, t: SimTime) -> None:
-        ev = self._arm_ev
-        if ev is not None and ev[0] > t:
+        # Acts only on an arm with its own event; the medium freezes the
+        # members of its cohorts.
+        if self._arm_ev is not None and self.fire_at > t:
             # Freeze: a boundary landing exactly at t stays armed and
             # transmits into the collision.
-            self._freeze(ev, t)
+            self._freeze(t)
 
     def on_main_idle(self, t: SimTime) -> None:
-        # The arming rule; hot path, called on every busy->idle edge.
-        if self.waiting and self._arm_ev is None \
-                and not (self.medium.tone_heard and self.obeys_tone):
-            self._arm_ev = self.engine.schedule(
-                t + self.aifs_us + self.counter * self.phy.slot_time, self._fire_tx)
+        # An arm off the idle edge takes its own event; at the edge itself
+        # Medium._arm_cohort arms every station behind one.
+        if self.medium.arm(t, (self,)):
+            self._arm_ev = self.engine.schedule(self.fire_at, self._fire_tx)
 
     # -- tone channel ---------------------------------------------------------
 
     def on_control_busy(self, t: SimTime) -> None:
-        ev = self._arm_ev
-        if ev is not None:
+        if self._arm_ev is not None:
             # Unlike a main-channel busy edge, a tone heard on the boundary
-            # itself stops the station before it starts transmitting.
-            self._freeze(ev, t)
+            # itself stops the station before it starts transmitting.  The
+            # medium has already frozen the cohort members.
+            self._freeze(t)
         if self._cur_tx is not None:
             self.medium.abort_transmission(self._cur_tx)
 
@@ -181,7 +189,7 @@ class Station:
 
     def _fire_tx(self) -> None:
         """The one way onto the air: an expired backoff or the fast path."""
-        self._arm_ev = None
+        self._arm_ev = self.fire_at = None
         self.waiting = False
         self._cur_tx = self.medium.begin_transmission(
             self.sta_id, f"{self.traffic_class}-data", self.params.data_airtime,

@@ -41,15 +41,38 @@ class Transmission:
     _end_ev: object = None
 
 
+@dataclass(slots=True, eq=False)
+class Cohort:
+    """Stations armed at one idle edge, behind one event at their earliest
+    ``fire_at``; members stay in construction order."""
+    members: list
+    ev: object = None
+
+
 class Medium:
     """Owns both channels; mutated only from its run's event loop.
 
-    listeners is the ordered list told about main-channel busy/idle edges:
-    the collector first, which measures busy time from them, then the
-    stations.  tone_listeners lists, in the same order, the stations that
-    obey the tone and are told about its edges.  Each station appends
-    itself when it is built, so both lists follow construction order, and
-    broadcasts iterate them in that order so runs are reproducible.
+    listeners is the ordered list of observers told about main-channel
+    busy/idle edges: the collector, which measures busy time from them.
+    No station is among them.  stations lists every station and
+    tone_listeners the stations that obey the tone and are told about its
+    edges.  Each station appends itself when it is built, so both lists
+    follow construction order, and every loop over them keeps that order
+    so runs are reproducible.
+
+    The medium arms the stations that wait at an idle edge: each waiting
+    station that is not armed and not suspended gets ``fire_at`` = edge +
+    AIFS + counter * slot, and the lot form one ``Cohort`` behind one
+    engine event at the earliest ``fire_at``.  It ranks against every
+    other event of its microsecond as one event per member, scheduled one
+    after another at the edge, would, and members due together start in
+    construction order.  A busy edge at t freezes the members with
+    ``fire_at`` > t; those due at t stay armed and transmit into the
+    collision.  A heard tone drops the members that obey it, and the event
+    moves to the next member's instant keeping its rank.  A station armed
+    off the idle edge (a new frame, a retry, a re-contention, a tone
+    clear) arms itself with its own event (``Station.on_main_idle``) and
+    is told about busy edges (``Station.on_main_busy``).
 
     tone_heard is the control level the listeners last heard: it changes
     at the heard instant, detection_delay after the first assertion or the
@@ -63,7 +86,9 @@ class Medium:
         self.detection_delay = detection_delay
         self.collector = collector
         self.listeners: list = [collector]
+        self.stations: list = []
         self.tone_listeners: list = []
+        self._cohorts: list[Cohort] = []  # the cohorts whose event is pending
         self.tone_heard = False
         self._active: dict[int, Transmission] = {}
         self._next_tx_id = 0
@@ -93,8 +118,7 @@ class Medium:
         tx._end_ev = self.engine.schedule(now + duration, lambda: self._finish(tx))
         self.collector.on_tx_start(now, sta, tx.tx_id, ftype, duration, frame_id)
         if was_idle:
-            for listener in self.listeners:
-                listener.on_main_busy(now)
+            self._main_busy(now)
         return tx
 
     def abort_transmission(self, tx: Transmission) -> None:
@@ -113,7 +137,74 @@ class Medium:
         if not self._active:
             for listener in self.listeners:
                 listener.on_main_idle(now)
+            self._arm_cohort(now)
         tx.on_end(outcome)
+
+    # -- channel access -----------------------------------------------------
+
+    def arm(self, t: SimTime, stations) -> list:
+        """The arming rule, for a channel idle since t: each waiting station
+        that is not armed and not suspended gets its fire_at.  Returns the
+        stations it armed, in the order given."""
+        heard = self.tone_heard
+        armed = []
+        for sta in stations:
+            if sta.waiting and sta.fire_at is None and not (heard and sta.obeys_tone):
+                sta.fire_at = t + sta.aifs_us + sta.counter * sta.phy.slot_time
+                armed.append(sta)
+        return armed
+
+    def _arm_cohort(self, e: SimTime) -> None:
+        """Arm every station that waits at the idle edge e, with one event."""
+        members = self.arm(e, self.stations)
+        if members:
+            cohort = Cohort(members)
+            cohort.ev = self.engine.schedule(min(sta.fire_at for sta in members),
+                                             lambda: self._fire_cohort(cohort))
+            self._cohorts.append(cohort)
+
+    def _fire_cohort(self, cohort: Cohort) -> None:
+        self._cohorts.remove(cohort)
+        now = self.engine.now
+        for sta in cohort.members:
+            if sta.fire_at == now:  # the first start froze every later member
+                sta._fire_tx()
+
+    def _main_busy(self, now: SimTime) -> None:
+        for listener in self.listeners:
+            listener.on_main_busy(now)
+        for sta in self.stations:
+            if sta._arm_ev is not None:
+                sta.on_main_busy(now)
+            elif sta.fire_at is not None and sta.fire_at > now:
+                sta._freeze(now)  # a cohort member
+        # A cohort lives on only with members due now: they transmit.
+        cohorts, self._cohorts = self._cohorts, []
+        for cohort in cohorts:
+            if cohort.ev[0] == now:
+                cohort.members = [sta for sta in cohort.members if sta.fire_at == now]
+                self._cohorts.append(cohort)
+            else:
+                self.engine.cancel(cohort.ev)
+
+    def _suspend_cohorts(self, now: SimTime) -> None:
+        """Freeze every cohort member that obeys the tone heard at now."""
+        cohorts, self._cohorts = self._cohorts, []
+        for cohort in cohorts:
+            members = []
+            for sta in cohort.members:
+                if sta.obeys_tone:
+                    sta._freeze(now)
+                else:
+                    members.append(sta)
+            if not members:
+                self.engine.cancel(cohort.ev)
+                continue
+            first = min(sta.fire_at for sta in members)
+            if first != cohort.ev[0]:
+                cohort.ev = self.engine.move(cohort.ev, first)
+            cohort.members = members
+            self._cohorts.append(cohort)
 
     # -- tone (control) channel --------------------------------------------
 
@@ -161,6 +252,7 @@ class Medium:
         now = self.engine.now
         self.tone_heard = busy
         if busy:
+            self._suspend_cohorts(now)
             for sta_obj in self.tone_listeners:
                 sta_obj.on_control_busy(now)
         else:

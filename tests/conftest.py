@@ -37,10 +37,10 @@ class ScriptedRng:
 class Bench:
     """Hand-wired micro-BSS for timeline tests; traffic enqueued manually."""
 
-    def __init__(self, duration=10_000_000, warmup=0):
+    def __init__(self, duration=10_000_000, warmup=0, detection_delay=0):
         self.engine = Engine()
         self.collector = Tracer(warmup, duration)
-        self.medium = Medium(self.engine, 0, self.collector)
+        self.medium = Medium(self.engine, detection_delay, self.collector)
         self.duration = duration
         self.stations = {}
         self._frame_n = 0

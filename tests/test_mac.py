@@ -230,6 +230,34 @@ def test_counter_invariants_across_run():
             assert 15 <= hi <= 1023
 
 
+def test_an_idle_edge_arms_every_waiting_station_with_one_event():
+    # A foreign frame holds the channel over [0, 1000) while five stations
+    # get a frame.  The idle edge at 1000 arms all five behind one event at
+    # the earliest boundary, 1000 + 43 + 9 = 1052, where r1 and r3 start in
+    # construction order and collide.
+    b = Bench()
+    stations = [b.add_regular(f"r{i}", draws=[d, 0])
+                for i, d in enumerate([3, 1, 4, 1, 5])]
+    b.engine.schedule(0, lambda: b.medium.begin_transmission(
+        "x", "regular-data", 1000, lambda o: None))
+    for sta in stations:
+        b.enqueue_at(10, sta)
+    b.run(999)
+    assert all(sta.waiting and sta.fire_at is None for sta in stations)
+    scheduled = []
+    schedule = b.engine.schedule
+    b.engine.schedule = lambda t, fn: scheduled.append(t) or schedule(t, fn)
+    b.run(1000)
+    assert scheduled == [1052]
+    assert [sta.fire_at for sta in stations] == [1070, 1052, 1079, 1052, 1088]
+    b.run(1052)
+    starts = [(e["sta"], e["t"]) for e in b.events("tx_start")]
+    assert starts == [("x", 0), ("r1", 1052), ("r3", 1052)]
+    # the other three froze one slot down: 1043 to 1052 elapsed
+    assert [sta.counter for sta in stations] == [2, 1, 3, 1, 4]
+    assert [sta.fire_at for sta in stations] == [None] * 5
+
+
 def test_only_a_contending_head_frame_waits_or_is_armed():
     # Station._contend is the only way into contention, so at any instant a
     # station without a head frame is not waiting, and an armed station is.
@@ -250,7 +278,7 @@ def test_only_a_contending_head_frame_waits_or_is_armed():
     def probe():
         heard.append(b.medium.tone_heard)
         for sta in b.stations.values():
-            armed = sta._arm_ev is not None
+            armed = sta.fire_at is not None
             seen.add((sta.traffic_class, sta.head is not None, sta.waiting, armed))
             if (sta.head is None and sta.waiting) or (armed and not sta.waiting) \
                     or (armed and sta.obeys_tone and b.medium.tone_heard):

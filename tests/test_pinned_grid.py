@@ -1,7 +1,7 @@
 """Behaviour oracle for refactors: pinned hashes of rows and traces.
 
 Every summary row and every trace of a small grid (both schemes, M in
-{0, 1, 5, 15}, seed 1, 1 s) is pinned by sha256 in four configurations:
+{0, 1, 5, 15, 40}, seed 1, 1 s) is pinned by sha256 in four configurations:
 the defaults, a 3 us tone detection delay, a 34 us one (equal to the URLLC
 AIFS, so a heard tone edge shares its microsecond with a fast-path launch),
 and non-default EDCA parameters for both classes.  Each point also runs
@@ -33,7 +33,7 @@ CONFIGS = {
         regular=replace(BASE.regular, cw_min=31, retry_limit=5),
         urllc=replace(BASE.urllc, aifsn=3, cw_min=7, cw_max=31, data_airtime=150)),
 }
-POINTS = [(scheme, m) for scheme in ("legacy", "proposed") for m in (0, 1, 5, 15)]
+POINTS = [(scheme, m) for scheme in ("legacy", "proposed") for m in (0, 1, 5, 15, 40)]
 
 # (config, scheme, M) -> (sha256 of the summary row, sha256 of the trace)
 PINS = {
@@ -49,6 +49,9 @@ PINS = {
     ('defaults', 'legacy', 15): (
         '811d8d0c6cd9e68914931f1bd0880ef200d83dc83c4f7a128de4479d18c10fe8',
         'da53245c17d490468ff49e0dc82218804ce79ee391e734c417370735e6d9dd93'),
+    ('defaults', 'legacy', 40): (
+        '97cf750db28fbe3ed646b36f2697020cd6a1db41cb249325538412a714da2106',
+        'be7aa9a21c66a501345e58dda1c3f2ed7ac977061408c9ea8c1447718b03cbf8'),
     ('defaults', 'proposed', 0): (
         '8242bb7aec3d711452ce2f621b514e4761838571f21d1a11286fc18196db99a6',
         'a3f2566b6aa3818726301cfecd2cd89673e2341fe5f5bfb206a4051a313d167c'),
@@ -61,6 +64,9 @@ PINS = {
     ('defaults', 'proposed', 15): (
         '90708024c00e6f9c072cb361f7308be04e2aa89eee3617bf577eccef0920e42a',
         'c8f02f1ee5db03189e625a3eae155640eb606f6118d2f36d20f5905e22a1343e'),
+    ('defaults', 'proposed', 40): (
+        'f00c3caf4b218372c1388973fc0d1ef94f42f85a5ce975a96ab205894a2906ed',
+        'ef96779143b5e84c11f1283445f0efec12749a4db68cec2d041e374d3181dd1a'),
     ('detection_delay_3', 'legacy', 0): (
         '5e28ab299c854e60d331c7f9b6852d8b968501a034e6bf6a02017dafb88d66c9',
         'a3f2566b6aa3818726301cfecd2cd89673e2341fe5f5bfb206a4051a313d167c'),
@@ -73,6 +79,9 @@ PINS = {
     ('detection_delay_3', 'legacy', 15): (
         '811d8d0c6cd9e68914931f1bd0880ef200d83dc83c4f7a128de4479d18c10fe8',
         'da53245c17d490468ff49e0dc82218804ce79ee391e734c417370735e6d9dd93'),
+    ('detection_delay_3', 'legacy', 40): (
+        '97cf750db28fbe3ed646b36f2697020cd6a1db41cb249325538412a714da2106',
+        'be7aa9a21c66a501345e58dda1c3f2ed7ac977061408c9ea8c1447718b03cbf8'),
     ('detection_delay_3', 'proposed', 0): (
         '8242bb7aec3d711452ce2f621b514e4761838571f21d1a11286fc18196db99a6',
         'a3f2566b6aa3818726301cfecd2cd89673e2341fe5f5bfb206a4051a313d167c'),
@@ -85,6 +94,9 @@ PINS = {
     ('detection_delay_3', 'proposed', 15): (
         '43dbb6b6ccca5b2858fdf68d9ab2a9587f2baef16f01378df75ef0aa748be732',
         '0993d3f74b47088d2cbe145e9148543bd32543de98cabce98560c4e62901a0c7'),
+    ('detection_delay_3', 'proposed', 40): (
+        'f00c3caf4b218372c1388973fc0d1ef94f42f85a5ce975a96ab205894a2906ed',
+        'e8dac194dad35b8a51e6b887b0e5b8fd15bd77e2d53e081ce7158df23563d335'),
     ('detection_delay_34', 'legacy', 0): (
         '5e28ab299c854e60d331c7f9b6852d8b968501a034e6bf6a02017dafb88d66c9',
         'a3f2566b6aa3818726301cfecd2cd89673e2341fe5f5bfb206a4051a313d167c'),
@@ -97,6 +109,9 @@ PINS = {
     ('detection_delay_34', 'legacy', 15): (
         '811d8d0c6cd9e68914931f1bd0880ef200d83dc83c4f7a128de4479d18c10fe8',
         'da53245c17d490468ff49e0dc82218804ce79ee391e734c417370735e6d9dd93'),
+    ('detection_delay_34', 'legacy', 40): (
+        '97cf750db28fbe3ed646b36f2697020cd6a1db41cb249325538412a714da2106',
+        'be7aa9a21c66a501345e58dda1c3f2ed7ac977061408c9ea8c1447718b03cbf8'),
     ('detection_delay_34', 'proposed', 0): (
         '8242bb7aec3d711452ce2f621b514e4761838571f21d1a11286fc18196db99a6',
         'a3f2566b6aa3818726301cfecd2cd89673e2341fe5f5bfb206a4051a313d167c'),
@@ -109,6 +124,9 @@ PINS = {
     ('detection_delay_34', 'proposed', 15): (
         'e19404ee6f855f5fabb9c2a6b7a10a44c5ff331ebd4311eaa4855cbfc3ef9386',
         '567d8794a88d8803ea1f94c2ac752aa338a4aa1f13dc96a21913d0042183da12'),
+    ('detection_delay_34', 'proposed', 40): (
+        '514a36136cd275789385eb7b606a370c55255a4f5090c22a4da1ab2ad329a4bf',
+        '8269a7c065325fff6320cfd43abb602b39b73a43615eaede819f40678b3a87f4'),
     ('edca', 'legacy', 0): (
         '1c8144848463e5818569f7673a130de5883cedaa8c60c00d8388e0e7d83ab7a2',
         '46f5510fc6ad4185bb5a4406de78e169b04736ed4a0dd72477c306e612fd48e7'),
@@ -121,6 +139,9 @@ PINS = {
     ('edca', 'legacy', 15): (
         '9d5a76ebf22f63cfcb24da63da7b982d1b2634ff3a40e1857bb62bcdca797cc7',
         'd5a4e42fb9c103c262f338424c30af7b79cf936141824ac64b2db0b31b586abd'),
+    ('edca', 'legacy', 40): (
+        'a912182d145822964dc9a5606935c8fb4861f5bb9b1bb625ea7b1f18f1f4dc2a',
+        'b0feb3dfdf815a7c2c84409ca127e96ac5d1f9fe38d23c14b8bb6e735f3a1f66'),
     ('edca', 'proposed', 0): (
         '40762eafc7a82114a9f6d91a0de32c4bc21cbc0d804dc9382d58bf6a6f876a8d',
         '46f5510fc6ad4185bb5a4406de78e169b04736ed4a0dd72477c306e612fd48e7'),
@@ -133,6 +154,9 @@ PINS = {
     ('edca', 'proposed', 15): (
         '2d7a3e487e82ba42401e55d6d59c94855c32972957137602dca9f5418c50d608',
         '951cd8faab0813e32180f0a7fcf3e35d8006eb33d548e66e2d5e2fbb601c5d50'),
+    ('edca', 'proposed', 40): (
+        '0e2e30d1d9531dd134a27c0e9022383e120046683e5fef719e622b34a5f1ffc4',
+        '47b9690d54f281fc8e93cfac61e635aa79e4c4b106b381e161efb3e950bda6d2'),
 }
 
 

@@ -4,8 +4,8 @@ URLLC AIFS is 34 (aifsn 2), data 200, ack 44, so an uncontended service
 takes exactly 34 + 200 + 16 + 44 = 294 us from arrival to ack end.
 """
 
-from btwifi.engine import Engine
 from btwifi.mac import Station
+from btwifi.medium import Medium
 from conftest import Bench
 
 
@@ -120,21 +120,22 @@ def test_the_tone_arms_no_listener_that_it_freezes_in_the_same_microsecond(
         monkeypatch):
     # r0's abort at the tone onset empties the channel.  The tone is heard
     # before any listener is told, so that idle edge arms neither r1 nor r2:
-    # an arm made and frozen in one microsecond would be a wasted event.
-    made, wasted = {}, []
-    schedule, freeze = Engine.schedule, Station._freeze
+    # an arm made and frozen in one microsecond would be wasted work.
+    armed_at, wasted = {}, []
+    arm, freeze = Medium.arm, Station._freeze
 
-    def recording_schedule(engine, fire_at, fn):
-        ev = schedule(engine, fire_at, fn)
-        made[id(ev)] = (ev, engine.now)  # holding ev keeps its id unique
-        return ev
+    def recording_arm(medium, t, stations):  # every arm goes through it
+        armed = arm(medium, t, stations)
+        for sta in armed:
+            armed_at[sta.sta_id] = t
+        return armed
 
-    def recording_freeze(sta, ev, t):
-        if made[id(ev)][1] == t:
+    def recording_freeze(sta, t):
+        if armed_at.get(sta.sta_id) == t:
             wasted.append((t, sta.sta_id))
-        freeze(sta, ev, t)
+        freeze(sta, t)
 
-    monkeypatch.setattr(Engine, "schedule", recording_schedule)
+    monkeypatch.setattr(Medium, "arm", recording_arm)
     monkeypatch.setattr(Station, "_freeze", recording_freeze)
     b = Bench()
     stations = [b.add_regular("r0", draws=[0, 3]), b.add_regular("r1", draws=[5]),
@@ -145,7 +146,38 @@ def test_the_tone_arms_no_listener_that_it_freezes_in_the_same_microsecond(
     b.enqueue_at(500, u)
     b.run(6000)
     assert [(e["sta"], e["t"]) for e in b.events("preempted")] == [("r0", 500)]
-    assert wasted == []
+    assert armed_at and wasted == []
+
+
+def test_a_cohort_that_loses_its_earliest_member_to_the_tone_keeps_its_rank():
+    # d = 3.  A foreign tone rises at 998, so u1's arrival at 999 contends
+    # (draw 2); a foreign frame holds the channel until 1000.  The idle edge
+    # at 1000 arms r0 (draw 0: 1043), r1 (draw 2: 1061) and u1 (1000 + 34 +
+    # 18 = 1052) as one cohort, before the tone is heard at 1001.  The heard
+    # edge freezes both regular members, r0 the earliest, so the cohort's
+    # event moves to u1's boundary.  It keeps the rank it took at the idle
+    # edge: a probe scheduled for 1052 after the idle edge and before the
+    # heard one dispatches after u1's start.
+    b = Bench(detection_delay=3)
+    r0 = b.add_regular("r0", draws=[0])
+    r1 = b.add_regular("r1", draws=[2])
+    u1 = b.add_urllc("u1", draws=[2])
+    b.medium.begin_transmission("x", "regular-data", 1000, lambda o: None)
+    b.engine.schedule(998, lambda: b.medium.busy_tone_set("x", True))
+    for sta in (r0, r1):
+        b.enqueue_at(10, sta)
+    b.enqueue_at(999, u1)
+    busy_at_probe = []
+    b.engine.schedule(1000, lambda: b.engine.schedule(  # after x's end event
+        1052, lambda: busy_at_probe.append(b.medium.is_main_busy())))
+    b.run(1001)
+    assert r0.fire_at is None and r1.fire_at is None and u1.fire_at == 1052
+    b.run(1100)
+    assert [e["fast"] for e in b.events("tone_on")] == [False]
+    starts = [(e["sta"], e["t"]) for e in b.events("tx_start")]
+    assert starts == [("x", 0), ("u1", 1052)]
+    assert busy_at_probe == [True]
+    assert (r0.counter, r1.counter) == (0, 2)
 
 
 def test_tone_onset_on_the_transmit_boundary_cancels_the_start():
