@@ -12,11 +12,11 @@ depend on no other tie.  With the busy tone the order still decides two
 ties within a microsecond: a heard tone edge against a no-backoff launch,
 and a heard tone edge against a regular backoff expiry.
 
-Backoff expiries are armed in two ways.  At each main-channel idle edge
-the medium arms every waiting station behind one event, and moves that
-event (``Engine.move``, which keeps its insertion rank) when a heard tone
-takes its earliest station away.  A station that starts waiting on an
-idle channel schedules its own event.
+Backoff expiries are armed in two ways.  The medium counts the backoff
+of each traffic class behind one event, scheduled when the class starts
+counting at a main-channel idle edge or a heard tone clear, and cancelled
+when the class freezes before that instant; no event ever moves.  A
+station that starts waiting on an idle channel schedules its own event.
 """
 
 from __future__ import annotations
@@ -58,22 +58,6 @@ class Engine:
         heapq.heappush(self._heap, ev)
         self._seq += 1
         return ev
-
-    def move(self, ev: list, fire_at: SimTime) -> list:
-        """Move a pending event to a later fire_at; returns the moved event.
-
-        The event keeps its sequence key and its callback, so among the
-        events due at fire_at it dispatches where it would have had it
-        been scheduled there in the first place.
-        """
-        if fire_at <= ev[0] or ev[2] is None:
-            raise ContractViolation(
-                f"move of event at t={ev[0]} to t={fire_at}: only a pending "
-                f"event moves, and only later")
-        moved = [fire_at, ev[1], ev[2]]
-        ev[2] = None
-        heapq.heappush(self._heap, moved)
-        return moved
 
     def cancel(self, ev: Optional[list]) -> bool:
         """Suppress a pending event.  False if already fired or cancelled."""

@@ -7,20 +7,22 @@ Timing model (integer microseconds):
   ``idle_from + AIFS + counter * slot`` as soon as the main channel is
   idle; the backoff counter decrements at each slot boundary after the
   AIFS, and the frame goes on air at the boundary where it reaches 0.
-  ``Medium.arm`` holds this rule.  At every idle edge the medium arms
-  all the waiting stations through it behind one event
-  (``Medium._arm_cohort``).  A station that starts waiting on an idle
-  channel arms itself through it with its own event
-  (``Station.on_main_idle``, through ``_try_arm``): a new frame, a retry,
-  a re-contention after an abort, and a tone clear.
-* ``Station.fire_at`` is the only record of counting progress: the
-  instant where the counter reaches 0, None while not armed.  When the
-  channel turns busy at t the arm is dropped and the counter becomes the
-  slots still left between t and fire_at, rounded up: a partially elapsed
-  slot is not spent (freeze/resume, ``Station._freeze``).  A busy edge
-  landing exactly on the boundary where the counter hits 0 does NOT
-  cancel the transmission: the preceding slot was idle, so the station
-  transmits and the overlap becomes a collision.
+  The medium applies this rule to a whole traffic class at once
+  (``medium.AccessClass``): at every idle edge, and at a heard tone clear
+  for the stations that obey the tone, it arms all the class's waiting
+  stations behind one event.  A station that starts waiting on an idle
+  channel arms itself with its own event (``Station.on_main_idle``): a
+  new frame, a retry, a re-contention after an abort.
+* When the channel turns busy at t the arm is dropped and the counter
+  becomes the slots still left between t and the armed instant, rounded
+  up: a partially elapsed slot is not spent (freeze/resume).  The medium
+  applies it to a class as one offset added to every counter
+  (``AccessClass.stop``), and a station armed on its own applies it to
+  itself (``Station._freeze``) and joins its class.  A busy edge landing
+  exactly on the boundary where the counter hits 0 does NOT cancel the
+  transmission: the preceding slot was idle, so the station transmits
+  and the overlap becomes a collision.  ``Station.counter`` and
+  ``Station.fire_at`` (None while not armed) read the result.
 * After a clean data frame the responder acks SIFS later.  An ack
   timeout is scheduled only once the exchange has failed: at the end of a
   collided data frame, for ``end + SIFS + ack + guard``, and at the end of
@@ -34,15 +36,15 @@ Timing model (integer microseconds):
 
 Every plain ``Station`` obeys the tone (``obeys_tone``);
 ``UrllcStation``, the only class that raises a tone, does not.  A
-station registers itself with its medium when it is built: in
-``Medium.stations``, and in ``Medium.tone_listeners`` if it obeys the
+station enrolls with its medium when it is built (``Medium.enroll``): in
+its ``AccessClass``, and in ``Medium.tone_listeners`` if it obeys the
 tone.  A legacy low-latency station is a plain ``Station`` and so a tone
 listener too, but the legacy scheme never raises a tone.  A station that
 obeys the tone aborts an ongoing transmission and freezes its backoff
 the moment the tone is detected, and does not arm while
-``Medium.tone_heard`` is set: suspension
-is the medium's heard level, set before any listener is told, so the
-main-channel idle edge left by the first abort arms no later listener.
+``Medium.tone_heard`` is set: suspension is the medium's heard level, set
+before any listener is told, so the main-channel idle edge left by the
+first abort arms no station that obeys the tone.
 Only a ``waiting`` station, one whose head frame contends, is ever
 armed, so never a low-latency station on the no-backoff path.
 ``Station._contend`` is the way into contention for every station class:
@@ -108,14 +110,28 @@ class Station:
         self.aifs_us = aifs(params, phy)
         self.waiting = False  # the head frame is contending
         self.head: Optional[Frame] = None
-        self.counter = 0
         self.retry_count = 0
-        self.fire_at: Optional[SimTime] = None  # where the armed counter hits 0
+        self._counter = 0  # the backoff counter while not in the class heap
+        self._key: Optional[int] = None  # the class heap key while in it
+        self._at: Optional[SimTime] = None  # fire instant when armed alone or due
         self._arm_ev: Optional[list] = None  # own event of an off-edge arm
         self._cur_tx: Optional[Transmission] = None
-        medium.stations.append(self)
-        if self.obeys_tone:
-            medium.tone_listeners.append(self)
+        medium.enroll(self)  # sets ac (the AccessClass) and index
+
+    @property
+    def counter(self) -> int:
+        """Backoff slots left, as of the last freeze or arm."""
+        return self._counter if self._key is None else self._key - self.ac.offset
+
+    @property
+    def fire_at(self) -> Optional[SimTime]:
+        """Where the armed counter hits 0; None while not armed."""
+        if self._at is not None:
+            return self._at
+        ac = self.ac
+        if self._key is None or ac.since is None:
+            return None
+        return ac.since + ac.aifs + (self._key - ac.offset) * ac.slot
 
     # -- frame intake -------------------------------------------------------
 
@@ -137,39 +153,42 @@ class Station:
         """The one way into contention: draw, mark waiting, arm if allowed."""
         p = self.params
         cw = min((p.cw_min + 1) * (1 << self.retry_count) - 1, p.cw_max)
-        self.counter = self.rng.uniform_int(0, cw)
+        self._counter = self.rng.uniform_int(0, cw)
         self.waiting = True
-        self._try_arm()
-
-    def _try_arm(self) -> None:
-        """(Re)start counting if the frame may contend right now."""
-        if not self.medium.is_main_busy():
+        if self.medium.is_main_busy():
+            self.ac.push(self, self._counter)
+        else:
             self.on_main_idle(self.engine.now)
 
     def _freeze(self, t: SimTime) -> None:
-        """Disarm at t; keep the slots still left, a partial one included."""
-        ev = self._arm_ev
-        if ev is not None:
-            ev[2] = None  # inline Engine.cancel
-            self._arm_ev = None
-        left = (self.fire_at - t + self.phy.slot_time - 1) // self.phy.slot_time
-        if left < self.counter:
-            self.counter = left
-        self.fire_at = None
+        """Disarm at t and join the class heap; keep the slots still left,
+        a partial one included."""
+        self._arm_ev[2] = None  # inline Engine.cancel
+        self._arm_ev = None
+        del self.medium._armed[self]
+        left = (self._at - t + self.phy.slot_time - 1) // self.phy.slot_time
+        if left < self._counter:
+            self._counter = left
+        self._at = None
+        self.ac.push(self, self._counter)
 
     def on_main_busy(self, t: SimTime) -> None:
-        # Acts only on an arm with its own event; the medium freezes the
-        # members of its cohorts.
-        if self._arm_ev is not None and self.fire_at > t:
-            # Freeze: a boundary landing exactly at t stays armed and
-            # transmits into the collision.
+        # Only a station armed with its own event is told; the medium
+        # freezes its classes.  A boundary landing exactly at t stays armed
+        # and transmits into the collision.
+        if self._at > t:
             self._freeze(t)
 
     def on_main_idle(self, t: SimTime) -> None:
-        # An arm off the idle edge takes its own event; at the edge itself
-        # Medium._arm_cohort arms every station behind one.
-        if self.medium.arm(t, (self,)):
-            self._arm_ev = self.engine.schedule(self.fire_at, self._fire_tx)
+        # The station started waiting on an idle channel: it arms with its
+        # own event unless a heard tone suspends it.  At an idle edge or a
+        # tone clear the medium arms its class instead.
+        if self.obeys_tone and self.medium.tone_heard:
+            self.ac.push(self, self._counter)
+            return
+        self._at = t + self.aifs_us + self._counter * self.phy.slot_time
+        self._arm_ev = self.engine.schedule(self._at, self._fire_tx)
+        self.medium._armed[self] = None
 
     # -- tone channel ---------------------------------------------------------
 
@@ -177,19 +196,24 @@ class Station:
         if self._arm_ev is not None:
             # Unlike a main-channel busy edge, a tone heard on the boundary
             # itself stops the station before it starts transmitting.  The
-            # medium has already frozen the cohort members.
+            # medium has already frozen the station's class.
             self._freeze(t)
         if self._cur_tx is not None:
             self.medium.abort_transmission(self._cur_tx)
 
     def on_control_idle(self, t: SimTime) -> None:
-        self._try_arm()
+        # Nothing to do: the medium has armed the station's class behind
+        # one event (Medium._deliver_control).
+        pass
 
     # -- the frame exchange ----------------------------------------------------
 
     def _fire_tx(self) -> None:
         """The one way onto the air: an expired backoff or the fast path."""
-        self._arm_ev = self.fire_at = None
+        if self._arm_ev is not None:
+            del self.medium._armed[self]
+            self._arm_ev = None
+        self._at = None
         self.waiting = False
         self._cur_tx = self.medium.begin_transmission(
             self.sta_id, f"{self.traffic_class}-data", self.params.data_airtime,

@@ -22,6 +22,7 @@ station, tone transitions reach every station that obeys the tone.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,12 +42,102 @@ class Transmission:
     _end_ev: object = None
 
 
-@dataclass(slots=True, eq=False)
-class Cohort:
-    """Stations armed at one idle edge, behind one event at their earliest
-    ``fire_at``; members stay in construction order."""
-    members: list
-    ev: object = None
+class AccessClass:
+    """The backoff state of the stations that share one counting rule
+    (AIFS, slot, whether the tone suspends them): a run has two, the
+    regular and the URLLC stations.
+
+    Counters are kept lazily, as ns-3's ChannelAccessManager does.  heap
+    holds the waiting stations that are not armed on their own, keyed by
+    (counter + offset, construction index); one station's counter is its
+    key minus offset, so a freeze adds the slots that elapsed to offset
+    once for the whole class.  since is the instant the class started
+    counting (the main idle edge, or a heard tone clear for a class that
+    obeys the tone), None while it is frozen; while it counts, every
+    station in heap is armed for since + AIFS + counter * slot, and ev is
+    the one event at the earliest of those instants.  due holds the
+    stations that a busy edge found due at its own instant, behind due_ev,
+    the event that was ev: they transmit into the collision.
+    """
+
+    __slots__ = ("aifs", "slot", "obeys_tone", "size", "heap", "offset",
+                 "since", "ev", "due", "due_ev")
+
+    def __init__(self, aifs: SimTime, slot: SimTime, obeys_tone: bool) -> None:
+        self.aifs = aifs
+        self.slot = slot
+        self.obeys_tone = obeys_tone
+        self.size = 0  # stations enrolled so far: the next construction index
+        self.heap: list = []
+        self.offset = 0
+        self.since: SimTime | None = None
+        self.ev: list | None = None
+        self.due: list = []
+        self.due_ev: list | None = None
+
+    def push(self, sta, counter: int) -> None:
+        """sta waits, not armed, with counter slots left; the class is frozen."""
+        sta._key = key = counter + self.offset
+        heapq.heappush(self.heap, (key, sta.index, sta))
+
+    def due_at(self) -> SimTime:
+        """When the first station in heap hits 0, while the class counts."""
+        return self.since + self.aifs + (self.heap[0][0] - self.offset) * self.slot
+
+    def stop(self, t: SimTime, tone: bool = False) -> None:
+        """Freeze at t, a busy edge or (tone) a heard tone.
+
+        Each counter keeps the slots still left, a partial one included:
+        the whole slots elapsed since since + AIFS come off them all.  At a
+        busy edge the stations due at t stay armed and transmit into the
+        collision; a heard tone stops them too, with counter 0.
+        """
+        if self.since is not None:
+            ev = self.ev
+            if ev is not None:
+                if ev[0] == t and not tone:
+                    self.due_ev, self.due = ev, self._pop_due()
+                    for sta in self.due:
+                        sta._at = t
+                else:
+                    ev[2] = None  # inline Engine.cancel
+                self.ev = None
+            k = (t - self.since - self.aifs) // self.slot
+            if k > 0:
+                self.offset += k
+            self.since = None
+        if tone and self.due_ev is not None:
+            self.due_ev[2] = None
+            for sta in self.due:
+                sta._at = None
+                self.push(sta, 0)
+            self.due, self.due_ev = [], None
+
+    def _pop_due(self) -> list:
+        """Take the stations with the least counter off heap, in construction
+        order; each keeps that counter, as an armed station does."""
+        heap = self.heap
+        key = heap[0][0]
+        counter = key - self.offset
+        due = []
+        while heap and heap[0][0] == key:
+            sta = heapq.heappop(heap)[2]
+            sta._key = None
+            sta._counter = counter
+            due.append(sta)
+        return due
+
+    def _fire(self) -> None:
+        """Callback of both events: the held due stations if theirs is the
+        event dispatching, else the stations ev was scheduled for."""
+        due_ev = self.due_ev
+        if due_ev is not None and due_ev[2] is None:  # marked fired: dispatching
+            due, self.due, self.due_ev = self.due, [], None
+        else:
+            self.ev = None
+            due = self._pop_due()
+        for sta in due:  # the first start freezes the class
+            sta._fire_tx()
 
 
 class Medium:
@@ -54,25 +145,29 @@ class Medium:
 
     listeners is the ordered list of observers told about main-channel
     busy/idle edges: the collector, which measures busy time from them.
-    No station is among them.  stations lists every station and
-    tone_listeners the stations that obey the tone and are told about its
-    edges.  Each station appends itself when it is built, so both lists
-    follow construction order, and every loop over them keeps that order
-    so runs are reproducible.
+    No station is among them.  tone_listeners lists the stations that obey
+    the tone and are told about its heard edges, in construction order,
+    and the loop over them keeps that order so runs are reproducible.
+    classes lists the ``AccessClass`` of every counting rule, in the order
+    of their first station.
 
-    The medium arms the stations that wait at an idle edge: each waiting
-    station that is not armed and not suspended gets ``fire_at`` = edge +
-    AIFS + counter * slot, and the lot form one ``Cohort`` behind one
-    engine event at the earliest ``fire_at``.  It ranks against every
-    other event of its microsecond as one event per member, scheduled one
-    after another at the edge, would, and members due together start in
-    construction order.  A busy edge at t freezes the members with
-    ``fire_at`` > t; those due at t stay armed and transmit into the
-    collision.  A heard tone drops the members that obey it, and the event
-    moves to the next member's instant keeping its rank.  A station armed
-    off the idle edge (a new frame, a retry, a re-contention, a tone
-    clear) arms itself with its own event (``Station.on_main_idle``) and
-    is told about busy edges (``Station.on_main_busy``).
+    The medium counts backoff per class, not per station.  A station
+    waiting while it may not count (the main channel busy, or a heard tone
+    that it obeys) sits in its class's heap.  At a main idle edge every
+    class that may count starts, and at a heard tone clear on an idle
+    channel every class that obeys the tone does (``Medium._start``): each
+    schedules one event at its earliest station's instant, so an edge
+    costs O(classes), not O(stations).  The class events of one edge are scheduled one after
+    another in class order, so each ranks against the other events of its
+    microsecond as the block of one event per station did, and stations
+    due together start in construction order (a run builds every regular
+    station before the URLLC ones).  A busy edge at t, or a heard tone,
+    freezes each counting class with one offset update
+    (``AccessClass.stop``).  A station that starts waiting on an idle
+    channel it may count on (a new frame, a retry, a re-contention) arms
+    itself with its own event (``Station.on_main_idle``); a busy edge
+    freezes it into its class's heap (``Station.on_main_busy``).  _armed
+    holds those stations.
 
     tone_heard is the control level the listeners last heard: it changes
     at the heard instant, detection_delay after the first assertion or the
@@ -86,9 +181,11 @@ class Medium:
         self.detection_delay = detection_delay
         self.collector = collector
         self.listeners: list = [collector]
-        self.stations: list = []
         self.tone_listeners: list = []
-        self._cohorts: list[Cohort] = []  # the cohorts whose event is pending
+        self.classes: list[AccessClass] = []
+        self._obeying: list[AccessClass] = []  # the classes that obey the tone
+        self._deaf: list[AccessClass] = []  # and those that do not
+        self._armed: dict = {}  # stations armed with their own event
         self.tone_heard = False
         self._active: dict[int, Transmission] = {}
         self._next_tx_id = 0
@@ -137,74 +234,43 @@ class Medium:
         if not self._active:
             for listener in self.listeners:
                 listener.on_main_idle(now)
-            self._arm_cohort(now)
+            self._start(now, self._deaf if self.tone_heard else self.classes)
         tx.on_end(outcome)
 
     # -- channel access -----------------------------------------------------
 
-    def arm(self, t: SimTime, stations) -> list:
-        """The arming rule, for a channel idle since t: each waiting station
-        that is not armed and not suspended gets its fire_at.  Returns the
-        stations it armed, in the order given."""
-        heard = self.tone_heard
-        armed = []
-        for sta in stations:
-            if sta.waiting and sta.fire_at is None and not (heard and sta.obeys_tone):
-                sta.fire_at = t + sta.aifs_us + sta.counter * sta.phy.slot_time
-                armed.append(sta)
-        return armed
+    def enroll(self, sta) -> None:
+        """Register a new station: its class, its construction index within
+        it, and its place among the tone listeners if it obeys the tone."""
+        key = (sta.aifs_us, sta.phy.slot_time, sta.obeys_tone)
+        for ac in self.classes:
+            if (ac.aifs, ac.slot, ac.obeys_tone) == key:
+                break
+        else:
+            ac = AccessClass(*key)
+            self.classes.append(ac)
+            (self._obeying if ac.obeys_tone else self._deaf).append(ac)
+        sta.ac, sta.index = ac, ac.size
+        ac.size += 1
+        if sta.obeys_tone:
+            self.tone_listeners.append(sta)
 
-    def _arm_cohort(self, e: SimTime) -> None:
-        """Arm every station that waits at the idle edge e, with one event."""
-        members = self.arm(e, self.stations)
-        if members:
-            cohort = Cohort(members)
-            cohort.ev = self.engine.schedule(min(sta.fire_at for sta in members),
-                                             lambda: self._fire_cohort(cohort))
-            self._cohorts.append(cohort)
-
-    def _fire_cohort(self, cohort: Cohort) -> None:
-        self._cohorts.remove(cohort)
-        now = self.engine.now
-        for sta in cohort.members:
-            if sta.fire_at == now:  # the first start froze every later member
-                sta._fire_tx()
+    def _start(self, t: SimTime, starting: list) -> None:
+        """Start the given classes counting at t, each behind one event
+        scheduled in class order."""
+        for ac in starting:
+            ac.since = t
+            if ac.heap:
+                ac.ev = self.engine.schedule(ac.due_at(), ac._fire)
 
     def _main_busy(self, now: SimTime) -> None:
         for listener in self.listeners:
             listener.on_main_busy(now)
-        for sta in self.stations:
-            if sta._arm_ev is not None:
+        for ac in self.classes:
+            ac.stop(now)
+        if self._armed:
+            for sta in list(self._armed):  # a freeze leaves _armed
                 sta.on_main_busy(now)
-            elif sta.fire_at is not None and sta.fire_at > now:
-                sta._freeze(now)  # a cohort member
-        # A cohort lives on only with members due now: they transmit.
-        cohorts, self._cohorts = self._cohorts, []
-        for cohort in cohorts:
-            if cohort.ev[0] == now:
-                cohort.members = [sta for sta in cohort.members if sta.fire_at == now]
-                self._cohorts.append(cohort)
-            else:
-                self.engine.cancel(cohort.ev)
-
-    def _suspend_cohorts(self, now: SimTime) -> None:
-        """Freeze every cohort member that obeys the tone heard at now."""
-        cohorts, self._cohorts = self._cohorts, []
-        for cohort in cohorts:
-            members = []
-            for sta in cohort.members:
-                if sta.obeys_tone:
-                    sta._freeze(now)
-                else:
-                    members.append(sta)
-            if not members:
-                self.engine.cancel(cohort.ev)
-                continue
-            first = min(sta.fire_at for sta in members)
-            if first != cohort.ev[0]:
-                cohort.ev = self.engine.move(cohort.ev, first)
-            cohort.members = members
-            self._cohorts.append(cohort)
 
     # -- tone (control) channel --------------------------------------------
 
@@ -252,9 +318,12 @@ class Medium:
         now = self.engine.now
         self.tone_heard = busy
         if busy:
-            self._suspend_cohorts(now)
+            for ac in self._obeying:
+                ac.stop(now, tone=True)
             for sta_obj in self.tone_listeners:
                 sta_obj.on_control_busy(now)
         else:
+            if not self._active:
+                self._start(now, self._obeying)
             for sta_obj in self.tone_listeners:
                 sta_obj.on_control_idle(now)

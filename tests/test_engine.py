@@ -31,31 +31,6 @@ def test_scheduling_in_the_past_is_fatal():
         eng.schedule(49, lambda: None)
 
 
-def test_a_moved_event_keeps_its_place_among_same_time_events():
-    # b is scheduled before a and c after it; a moved to b's instant still
-    # dispatches between them, as it would have had it been scheduled there.
-    eng = Engine()
-    order = []
-    eng.schedule(20, lambda: order.append("b"))
-    a = eng.schedule(10, lambda: order.append("a"))
-    eng.schedule(20, lambda: order.append("c"))
-    moved = eng.move(a, 20)
-    assert eng.cancel(a) is False and eng.pending() == 3
-    eng.run_until(20)
-    assert order == ["b", "a", "c"]
-    assert eng.cancel(moved) is False
-
-
-def test_only_a_pending_event_moves_and_only_later():
-    eng = Engine()
-    ev = eng.schedule(10, lambda: None)
-    with pytest.raises(ContractViolation):
-        eng.move(ev, 10)
-    eng.cancel(ev)
-    with pytest.raises(ContractViolation):
-        eng.move(ev, 20)
-
-
 def test_cancel_pending_event():
     eng = Engine()
     fired = []

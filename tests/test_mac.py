@@ -9,7 +9,7 @@ import random
 import pytest
 
 from btwifi.engine import ContractViolation, RngStream
-from btwifi.mac import EdcaParams, PhyConstants, aifs
+from btwifi.mac import EdcaParams, PhyConstants, Station, aifs
 from btwifi.traffic import ExpAfterSuccessSource, SaturatedSource
 
 from conftest import PHY, Bench
@@ -256,6 +256,55 @@ def test_an_idle_edge_arms_every_waiting_station_with_one_event():
     # the other three froze one slot down: 1043 to 1052 elapsed
     assert [sta.counter for sta in stations] == [2, 1, 3, 1, 4]
     assert [sta.fire_at for sta in stations] == [None] * 5
+
+
+def test_a_busy_edge_freezes_no_waiting_station_one_by_one(monkeypatch):
+    # The idle edge at 1000 arms forty waiting stations; a foreign frame at
+    # 1020, before any AIFS has elapsed, freezes them all.  The freeze is
+    # one update of their class, so its work does not grow with the number
+    # of stations: no per-station freeze runs.
+    freezes = []
+    freeze = Station._freeze
+    monkeypatch.setattr(Station, "_freeze",
+                        lambda sta, t: freezes.append(sta) or freeze(sta, t))
+    b = Bench()
+    stations = [b.add_regular(f"r{i}", draws=[i % 16]) for i in range(40)]
+    b.engine.schedule(0, lambda: b.medium.begin_transmission(
+        "x", "regular-data", 1000, lambda o: None))
+    for sta in stations:
+        b.enqueue_at(10, sta)
+    b.engine.schedule(1020, lambda: b.medium.begin_transmission(
+        "y", "regular-data", 100, lambda o: None))
+    b.run(1000)
+    assert all(sta.fire_at is not None for sta in stations)
+    b.run(1020)
+    assert freezes == []
+    assert all(sta.fire_at is None for sta in stations)
+    assert [sta.counter for sta in stations] == [i % 16 for i in range(40)]
+
+
+def test_a_zero_length_frame_on_the_zero_boundary_leaves_the_due_station_armed():
+    # r0's counter reaches 0 at 1043.  A foreign frame starts there first
+    # and is aborted at once: the busy edge leaves r0 armed (the slot before
+    # was idle), and the idle edge in the same microsecond re-arms only r1,
+    # from 1043.  r0 starts at 1043 alone and clean, and r1, frozen at 2
+    # by r0's start, follows the exchange: 3103 + 43 + 18.
+    b = Bench()
+    r0 = b.add_regular("r0", draws=[0])
+    r1 = b.add_regular("r1", draws=[2])
+    b.medium.begin_transmission("x", "regular-data", 1000, lambda o: None)
+    for sta in (r0, r1):
+        b.enqueue_at(10, sta)
+
+    def zero_length():
+        b.medium.abort_transmission(b.medium.begin_transmission(
+            "y", "regular-data", 100, lambda o: None))
+
+    b.engine.schedule(1043, zero_length)
+    b.run(5000)
+    starts = [(e["sta"], e["t"]) for e in b.events("tx_start") if e["sta"] != "ap"]
+    assert starts == [("x", 0), ("y", 1043), ("r0", 1043), ("r1", 3164)]
+    assert b.collector.collided["regular"] == 0
 
 
 def test_only_a_contending_head_frame_waits_or_is_armed():

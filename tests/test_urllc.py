@@ -5,7 +5,7 @@ takes exactly 34 + 200 + 16 + 44 = 294 us from arrival to ack end.
 """
 
 from btwifi.mac import Station
-from btwifi.medium import Medium
+from btwifi.medium import AccessClass, Medium
 from conftest import Bench
 
 
@@ -121,25 +121,30 @@ def test_the_tone_arms_no_listener_that_it_freezes_in_the_same_microsecond(
     # r0's abort at the tone onset empties the channel.  The tone is heard
     # before any listener is told, so that idle edge arms neither r1 nor r2:
     # an arm made and frozen in one microsecond would be wasted work.
+    # Every arm and every freeze goes through one of four functions: the
+    # medium arms whole classes and a class freezes all its waiting
+    # stations, a station armed on its own arms or freezes itself.
     armed_at, wasted = {}, []
-    arm, freeze = Medium.arm, Station._freeze
+    stations = []
 
-    def recording_arm(medium, t, stations):  # every arm goes through it
-        armed = arm(medium, t, stations)
-        for sta in armed:
-            armed_at[sta.sta_id] = t
-        return armed
+    def recording(fn):
+        def wrapper(obj, t, *args, **kwargs):
+            before = [sta.fire_at for sta in stations]
+            fn(obj, t, *args, **kwargs)
+            for sta, was in zip(stations, before):
+                if was is None and sta.fire_at is not None:
+                    armed_at[sta.sta_id] = t
+                elif was is not None and sta.fire_at is None \
+                        and armed_at.get(sta.sta_id) == t:
+                    wasted.append((t, sta.sta_id))
+        return wrapper
 
-    def recording_freeze(sta, t):
-        if armed_at.get(sta.sta_id) == t:
-            wasted.append((t, sta.sta_id))
-        freeze(sta, t)
-
-    monkeypatch.setattr(Medium, "arm", recording_arm)
-    monkeypatch.setattr(Station, "_freeze", recording_freeze)
+    for owner, name in ((Medium, "_start"), (AccessClass, "stop"),
+                        (Station, "on_main_idle"), (Station, "_freeze")):
+        monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
     b = Bench()
-    stations = [b.add_regular("r0", draws=[0, 3]), b.add_regular("r1", draws=[5]),
-                b.add_regular("r2", draws=[7])]
+    stations += [b.add_regular("r0", draws=[0, 3]),
+                 b.add_regular("r1", draws=[5]), b.add_regular("r2", draws=[7])]
     u = b.add_urllc("u0")
     for sta in stations:
         b.enqueue_at(0, sta)
@@ -178,6 +183,51 @@ def test_a_cohort_that_loses_its_earliest_member_to_the_tone_keeps_its_rank():
     assert starts == [("x", 0), ("u1", 1052)]
     assert busy_at_probe == [True]
     assert (r0.counter, r1.counter) == (0, 2)
+
+
+def test_a_tone_clear_arms_every_waiting_listener_with_one_event():
+    # A foreign tone holds [0, 1000) while five regular stations get a
+    # frame on the idle main channel: all wait, suspended.  The clear at
+    # 1000 arms the five behind one event at the earliest boundary,
+    # 1000 + 43 + 9 = 1052, where r1 and r3 start in construction order.
+    b = Bench()
+    stations = [b.add_regular(f"r{i}", draws=[d, 0])
+                for i, d in enumerate([3, 1, 4, 1, 5])]
+    b.medium.busy_tone_set("z", True)
+    b.engine.schedule(1000, lambda: b.medium.busy_tone_set("z", False))
+    for sta in stations:
+        b.enqueue_at(10, sta)
+    b.run(999)
+    assert all(sta.waiting and sta.fire_at is None for sta in stations)
+    scheduled = []
+    schedule = b.engine.schedule
+    b.engine.schedule = lambda t, fn: scheduled.append(t) or schedule(t, fn)
+    b.run(1000)
+    assert scheduled == [1052]
+    assert [sta.fire_at for sta in stations] == [1070, 1052, 1079, 1052, 1088]
+    b.run(1052)
+    starts = [(e["sta"], e["t"]) for e in b.events("tx_start")]
+    assert starts == [("r1", 1052), ("r3", 1052)]
+
+
+def test_a_tone_heard_after_a_busy_edge_on_the_zero_boundary_stops_the_start():
+    # r0's counter reaches 0 at 1043, where a foreign frame starts first:
+    # r0 stays armed to transmit into the collision.  A tone heard later in
+    # the same microsecond stops it before it starts, with counter 0, so it
+    # resumes only at the tone clear: 3000 + 43.
+    b = Bench()
+    r0 = b.add_regular("r0", draws=[0])
+    b.medium.begin_transmission("x", "regular-data", 1000, lambda o: None)
+    b.enqueue_at(10, r0)
+    b.engine.schedule(1043, lambda: b.medium.begin_transmission(
+        "y", "regular-data", 100, lambda o: None))
+    b.engine.schedule(1043, lambda: b.medium.busy_tone_set("z", True))
+    b.engine.schedule(3000, lambda: b.medium.busy_tone_set("z", False))
+    b.run(1043)
+    assert r0.fire_at is None and r0.counter == 0
+    b.run(5000)
+    starts = [(e["sta"], e["t"]) for e in b.events("tx_start") if e["sta"] != "ap"]
+    assert starts == [("x", 0), ("y", 1043), ("r0", 3043)]
 
 
 def test_tone_onset_on_the_transmit_boundary_cancels_the_start():
