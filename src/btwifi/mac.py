@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import ContractViolation, RngStream, SimTime
-from .medium import ABORTED, CLEAN, COLLIDED, Medium, Transmission
+from .medium import CLEAN, COLLIDED, Medium, Transmission
 
 @dataclass(frozen=True, slots=True)
 class PhyConstants:
@@ -224,15 +224,10 @@ class Station:
         if outcome == CLEAN:
             self.engine.schedule(self.engine.now + self.phy.sifs, self._start_ack)
         elif outcome == COLLIDED:  # no ack will come: time out where it would end
-            now = self.engine.now
-            self.collector.on_collided(now, self.sta_id, self.traffic_class,
-                                       self.head)
             self.engine.schedule(
-                now + self.phy.sifs + self.params.ack_airtime
+                self.engine.now + self.phy.sifs + self.params.ack_airtime
                 + self.phy.ack_timeout_guard, self._on_ack_timeout)
         else:  # ABORTED: the tone preempted us mid-frame
-            self.collector.on_preempted(self.engine.now, self.sta_id,
-                                        self.traffic_class, self.head)
             # Re-contend from scratch after the suspension: fresh draw, but
             # the retry count and contention window are NOT touched - being
             # preempted is not evidence of a collision.

@@ -37,6 +37,8 @@ ABORTED = "aborted"
 class Transmission:
     tx_id: int
     sta: str
+    ftype: str
+    frame_id: object  # the data frame's id; None for an ack
     on_end: Callable[[str], None]
     dirty: bool = False  # overlapped some other transmission at any point
     _end_ev: object = None
@@ -143,11 +145,11 @@ class AccessClass:
 class Medium:
     """Owns both channels; mutated only from its run's event loop.
 
-    listeners is the ordered list of observers told about main-channel
-    busy/idle edges: the collector, which measures busy time from them.
-    No station is among them.  tone_listeners lists the stations that obey
-    the tone and are told about its heard edges, in construction order,
-    and the loop over them keeps that order so runs are reproducible.
+    The collector is the only observer of the main channel and hears each
+    transmission fact once: ``on_tx_start`` flags a busy edge, and
+    ``on_tx_end`` an idle edge and carries the outcome.  tone_listeners
+    lists the stations that obey the tone and are told about its heard
+    edges, in construction order, so runs are reproducible.
     classes lists the ``AccessClass`` of every counting rule, in the order
     of their first station.
 
@@ -180,7 +182,6 @@ class Medium:
         self.engine = engine
         self.detection_delay = detection_delay
         self.collector = collector
-        self.listeners: list = [collector]
         self.tone_listeners: list = []
         self.classes: list[AccessClass] = []
         self._obeying: list[AccessClass] = []  # the classes that obey the tone
@@ -209,13 +210,17 @@ class Medium:
             if other.sta == sta:
                 raise ContractViolation(f"{sta} began a second transmission at t={now}")
             other.dirty = dirty = True
-        tx = Transmission(self._next_tx_id, sta, on_end, dirty=dirty)
+        tx = Transmission(self._next_tx_id, sta, ftype, frame_id, on_end, dirty=dirty)
         self._next_tx_id += 1
         self._active[tx.tx_id] = tx
         tx._end_ev = self.engine.schedule(now + duration, lambda: self._finish(tx))
-        self.collector.on_tx_start(now, sta, tx.tx_id, ftype, duration, frame_id)
+        self.collector.on_tx_start(now, tx, duration, was_idle)
         if was_idle:
-            self._main_busy(now)
+            for ac in self.classes:
+                ac.stop(now)
+            if self._armed:
+                for sta_obj in list(self._armed):  # a freeze leaves _armed
+                    sta_obj.on_main_busy(now)
         return tx
 
     def abort_transmission(self, tx: Transmission) -> None:
@@ -230,10 +235,8 @@ class Medium:
     def _remove(self, tx: Transmission, outcome: str) -> None:
         now = self.engine.now
         del self._active[tx.tx_id]
-        self.collector.on_tx_end(now, tx.tx_id, outcome)
+        self.collector.on_tx_end(now, tx, outcome, not self._active)
         if not self._active:
-            for listener in self.listeners:
-                listener.on_main_idle(now)
             self._start(now, self._deaf if self.tone_heard else self.classes)
         tx.on_end(outcome)
 
@@ -262,15 +265,6 @@ class Medium:
             ac.since = t
             if ac.heap:
                 ac.ev = self.engine.schedule(ac.due_at(), ac._fire)
-
-    def _main_busy(self, now: SimTime) -> None:
-        for listener in self.listeners:
-            listener.on_main_busy(now)
-        for ac in self.classes:
-            ac.stop(now)
-        if self._armed:
-            for sta in list(self._armed):  # a freeze leaves _armed
-                sta.on_main_busy(now)
 
     # -- tone (control) channel --------------------------------------------
 

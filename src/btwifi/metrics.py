@@ -10,6 +10,8 @@ Warm-up handling follows two different filters on purpose:
 The terminal counters (delivered/dropped/collided/preempted and arrivals)
 cover the whole run including warm-up so that the bookkeeping identity
 arrivals == delivered + dropped + in-flight-at-end can be asserted exactly.
+Stations report arrivals, deliveries and drops; the medium's transmission
+starts and ends give collisions, preemptions and busy time.
 
 summarize is the only code that turns a run's counts into a RunSummary.
 tracecheck.replay_csv_row takes its counts from the trace alone and shares
@@ -22,8 +24,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import ContractViolation, SimTime
+from .medium import ABORTED, COLLIDED
 
 CLASSES = ("regular", "urllc")  # the traffic classes, each counted apart
+_DATA_CLASS = {f"{cls}-data": cls for cls in CLASSES}  # data ftype -> class
 
 
 def nearest_rank(sorted_samples: list, pct: int):
@@ -55,12 +59,11 @@ class RunSummary:
 
 
 class MetricsCollector:
-    """The run's only observer: stations and the medium report each event
-    once through an on_* hook.  Frame hooks get the time, the station id,
-    the traffic class and the Frame.  The transmission and tone hooks
-    measure nothing here; subclasses such as trace.Tracer call each base
-    hook first.
-    """
+    """The run's only observer, told each fact once through an on_* hook.
+    Stations call the frame hooks with the time, station id, class and Frame;
+    the medium calls on_tx_start and on_tx_end with the Transmission and a
+    busy or idle edge flag; UrllcStation calls the tone hooks, which measure
+    nothing here.  Subclasses such as trace.Tracer call each base hook first."""
 
     def __init__(self, warmup: SimTime, duration: SimTime) -> None:
         if not 0 <= warmup < duration:
@@ -94,23 +97,26 @@ class MetricsCollector:
     def on_dropped(self, t: SimTime, sta: str, cls: str, frame) -> None:
         self.dropped[cls] += 1
 
-    def on_collided(self, t: SimTime, sta: str, cls: str, frame) -> None:
-        self.collided[cls] += 1
-
-    def on_preempted(self, t: SimTime, sta: str, cls: str, frame) -> None:
-        self.preempted += 1
-
     def _unmeasured(self, *event) -> None:
-        """Transmission and tone events feed no metric; see trace.Tracer."""
+        """Tone events feed no metric; see trace.Tracer."""
 
-    on_tx_start = on_tx_end = on_tone_on = on_tone_off = _unmeasured
+    on_tone_on = on_tone_off = _unmeasured
 
-    # -- channel occupancy ----------------------------------------------------
+    # -- transmissions and channel occupancy --------------------------------
 
-    def on_main_busy(self, t: SimTime) -> None:
-        self._busy_since = t
+    def on_tx_start(self, t: SimTime, tx, dur: SimTime, busy_edge: bool) -> None:
+        if busy_edge:
+            self._busy_since = t
 
-    def on_main_idle(self, t: SimTime) -> None:
+    def on_tx_end(self, t: SimTime, tx, outcome: str, idle_edge: bool) -> None:
+        if outcome == ABORTED:
+            self.preempted += 1
+        elif outcome == COLLIDED and tx.ftype in _DATA_CLASS:  # not an ack
+            self.collided[_DATA_CLASS[tx.ftype]] += 1
+        if idle_edge:
+            self._close_busy(t)
+
+    def _close_busy(self, t: SimTime) -> None:
         lo = self._busy_since if self._busy_since > self.warmup else self.warmup
         hi = t if t < self.duration else self.duration
         if hi > lo:
@@ -122,7 +128,7 @@ class MetricsCollector:
     def finalize(self, scheme: str, m_urllc: int, n_regular: int, seed: int,
                  in_flight: dict[str, int]) -> RunSummary:
         if self._busy_since is not None:
-            self.on_main_idle(self.duration)
+            self._close_busy(self.duration)
         for cls in CLASSES:
             total = self.delivered[cls] + self.dropped[cls] + in_flight.get(cls, 0)
             if total != self.arrivals[cls]:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 
+from .medium import ABORTED
 from .metrics import MetricsCollector
 
 
 class Tracer(MetricsCollector):
-    """A collector that also keeps each event as a pre-serialized JSONL line."""
+    """A collector that also keeps each event as a pre-serialized JSONL line;
+    an aborted tx_end is followed by its frame's preempted record."""
 
     def __init__(self, warmup, duration) -> None:
         super().__init__(warmup, duration)
@@ -29,17 +31,19 @@ class Tracer(MetricsCollector):
         self.emit({"t": t, "kind": "arrival", "sta": sta, "frame": frame.frame_id,
                    "cls": cls})
 
-    def on_tx_start(self, t, sta, tx, ftype, dur, frame_id) -> None:
-        super().on_tx_start(t, sta, tx, ftype, dur, frame_id)
-        rec = {"t": t, "kind": "tx_start", "sta": sta, "tx": tx,
-               "ftype": ftype, "dur": dur}
-        if frame_id is not None:
-            rec["frame"] = frame_id
+    def on_tx_start(self, t, tx, dur, busy_edge) -> None:
+        super().on_tx_start(t, tx, dur, busy_edge)
+        rec = {"t": t, "kind": "tx_start", "sta": tx.sta, "tx": tx.tx_id,
+               "ftype": tx.ftype, "dur": dur}
+        if tx.frame_id is not None:
+            rec["frame"] = tx.frame_id
         self.emit(rec)
 
-    def on_tx_end(self, t, tx, outcome) -> None:
-        super().on_tx_end(t, tx, outcome)
-        self.emit({"t": t, "kind": "tx_end", "tx": tx, "outcome": outcome})
+    def on_tx_end(self, t, tx, outcome, idle_edge) -> None:
+        super().on_tx_end(t, tx, outcome, idle_edge)
+        self.emit({"t": t, "kind": "tx_end", "tx": tx.tx_id, "outcome": outcome})
+        if outcome == ABORTED:
+            self.emit({"t": t, "kind": "preempted", "sta": tx.sta, "frame": tx.frame_id})
 
     def on_tone_on(self, t, sta, fast) -> None:
         super().on_tone_on(t, sta, fast)
@@ -48,10 +52,6 @@ class Tracer(MetricsCollector):
     def on_tone_off(self, t, sta, reason) -> None:
         super().on_tone_off(t, sta, reason)
         self.emit({"t": t, "kind": "tone_off", "sta": sta, "reason": reason})
-
-    def on_preempted(self, t, sta, cls, frame) -> None:
-        super().on_preempted(t, sta, cls, frame)
-        self.emit({"t": t, "kind": "preempted", "sta": sta, "frame": frame.frame_id})
 
     def on_delivered(self, t, sta, cls, frame, payload_bits) -> None:
         super().on_delivered(t, sta, cls, frame, payload_bits)

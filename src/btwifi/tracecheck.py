@@ -81,18 +81,19 @@ def load_records(lines: Iterable[str]) -> Trace:
 
     A malformed record raises ValueError naming its line.  That includes a
     tx_end without a tx_start, a tx_start or tx_end repeated for one tx id,
-    a tx_start whose duration is below 1, a tone_off without a tone_on or
-    earlier than the start of its tone span, a tone span that starts before
-    the one before it ended, an arrival of a frame still open, a delivered,
-    dropped or preempted frame that is not open, a frame delivered, dropped
-    or preempted before it arrived, and an ftype, outcome or frame class
-    that the simulator never writes.  Records are otherwise free to go back
+    a tx_start whose duration is below 1, a tone_on from a station that
+    holds a tone, a tone_off from one that holds none or earlier than the
+    start of its tone span, a tone span that starts before the one before
+    it ended, an arrival of a frame still open, a delivered, dropped or
+    preempted frame that is not open, a frame delivered, dropped or
+    preempted before it arrived, and an ftype, outcome or frame class that
+    the simulator never writes.  Records are otherwise free to go back
     in time: the physics checks, not the parse, judge a record that is out
     of order.
     """
     txs: dict[int, TxRecord] = {}
     spans: list[tuple[int, int]] = []
-    level = start = preempted = 0  # tone level and start of its span
+    holders, start, preempted = set(), 0, 0  # tone holders, start of their span
     open_frames: dict[str, tuple[int, str]] = {}  # frame -> (arrival, class)
     delivered: list[tuple[int, int, str]] = []
     dropped = dict.fromkeys(CLASSES, 0)
@@ -146,25 +147,29 @@ def load_records(lines: Iterable[str]) -> Trace:
                 else:
                     preempted += 1
             elif kind == "tone_on":
-                if level == 0:
+                if rec["sta"] in holders:
+                    raise ValueError(f"{rec['sta']} raised a second tone")
+                if not holders:
                     # keeps the spans sorted and disjoint, as the tone check needs
                     if spans and t < spans[-1][1]:
                         raise ValueError(f"tone_on at {t} is earlier than the end "
                                          f"of the tone span before it")
                     start = t
-                level += 1
+                holders.add(rec["sta"])
             elif kind == "tone_off":
-                level -= 1
-                if level < 0:
+                if not holders:
                     raise ValueError("tone_off without matching tone_on")
+                if rec["sta"] not in holders:
+                    raise ValueError(f"tone_off from {rec['sta']}, which holds no tone")
+                holders.remove(rec["sta"])
                 if t < start:
                     raise ValueError(f"tone_off at {t} is earlier than the "
                                      f"start {start} of its tone span")
-                if level == 0 and t > start:
+                if not holders and t > start:
                     spans.append((start, t))
         except (KeyError, TypeError, ValueError) as exc:
             raise _malformed(lineno, exc) from exc
-    return Trace(txs, spans, start if level else None, delivered,
+    return Trace(txs, spans, start if holders else None, delivered,
                  dropped, preempted)
 
 

@@ -169,7 +169,9 @@ def test_collided_ack_is_treated_as_timeout():
     (delivered,) = b.events("delivered")
     # timeout 2112, retry draw 0 -> data [2155, 4155), ack ends 4215
     assert delivered["t"] == 4215
-    assert b.collector.collided["regular"] == 0  # the data frame was clean
+    first = next(e["tx"] for e in b.events("tx_start") if e["sta"] == "r0")
+    outcome = {e["tx"]: e["outcome"] for e in b.events("tx_end")}
+    assert outcome[first] == "clean"  # the data frame was clean
 
 
 def test_enqueue_during_busy_defers_until_idle_plus_aifs():

@@ -5,17 +5,23 @@ from btwifi.medium import ABORTED, CLEAN, COLLIDED, Medium
 from btwifi.metrics import MetricsCollector
 
 
-class Sink:
-    """Listener that just logs notifications."""
+class Sink(MetricsCollector):
+    """Collector that logs the main-channel edges flagged on its transmission
+    hooks, and tone listener that logs the heard control edges."""
 
     def __init__(self):
+        super().__init__(0, 10_000_000)
         self.log = []
 
-    def on_main_busy(self, t):
-        self.log.append(("main-busy", t))
+    def on_tx_start(self, t, tx, dur, busy_edge):
+        super().on_tx_start(t, tx, dur, busy_edge)
+        if busy_edge:
+            self.log.append(("main-busy", t))
 
-    def on_main_idle(self, t):
-        self.log.append(("main-idle", t))
+    def on_tx_end(self, t, tx, outcome, idle_edge):
+        super().on_tx_end(t, tx, outcome, idle_edge)
+        if idle_edge:
+            self.log.append(("main-idle", t))
 
     def on_control_busy(self, t):
         self.log.append(("control-busy", t))
@@ -36,9 +42,8 @@ def control_busy(sink):
 
 def make_medium(detection_delay=0):
     eng = Engine()
-    med = Medium(eng, detection_delay, MetricsCollector(0, 10_000_000))
     sink = Sink()
-    med.listeners.append(sink)
+    med = Medium(eng, detection_delay, sink)
     med.tone_listeners.append(sink)
     return eng, med, sink
 

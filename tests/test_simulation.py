@@ -129,3 +129,68 @@ def test_detection_delay_shifts_abort_but_not_fast_path(delay):
     # the delay of a preempting arrival is unchanged: fast path is 294 us
     assert min(r["delay"] for r in recs
                if r["kind"] == "delivered" and r["sta"] == "u0") == 294
+
+
+@pytest.mark.parametrize("scheme", ["legacy", "proposed"])
+def test_the_medium_reports_each_transmission_fact_once(monkeypatch, scheme):
+    # An untraced run with every collector hook counted: each transmission
+    # start and end reaches the collector exactly once, through on_tx_start
+    # and on_tx_end, and no other hook carries a channel fact.
+    from btwifi import simulation
+    from btwifi.medium import Medium
+    from btwifi.metrics import MetricsCollector
+
+    calls = Counter()  # collector hook -> calls
+    starts, ends = [], Counter()  # the transmissions begun, the outcomes told
+    made = []
+
+    class Counting(MetricsCollector):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    for name in dir(MetricsCollector):
+        if name.startswith("on_"):
+            def hook(self, *args, _name=name):
+                calls[_name] += 1
+                return getattr(MetricsCollector, _name)(self, *args)
+            setattr(Counting, name, hook)
+
+    begin = Medium.begin_transmission
+
+    def counted_begin(self, sta, ftype, duration, on_end, frame_id=None):
+        starts.append(ftype)
+
+        def counted_end(outcome):
+            ends[outcome] += 1
+            on_end(outcome)
+        return begin(self, sta, ftype, duration, counted_end, frame_id)
+
+    cfg = ScenarioConfig(n_regular=6, sim_duration=500_000, warmup=50_000)
+    twin = run_single(cfg.run_config(scheme, 5, 1, trace=True))
+    monkeypatch.setattr(simulation, "MetricsCollector", Counting)
+    monkeypatch.setattr(Medium, "begin_transmission", counted_begin)
+    summary = run_single(cfg.run_config(scheme, 5, 1)).summary
+    (collector,) = made
+
+    assert starts and calls["on_tx_start"] == len(starts)
+    assert calls["on_tx_end"] == sum(ends.values())
+    allowed = {"on_arrival", "on_delivered", "on_dropped", "on_tx_start", "on_tx_end"}
+    if scheme == "proposed":
+        allowed |= {"on_tone_on", "on_tone_off"}
+    assert set(calls) <= allowed
+
+    # the counts equal those read from the traced twin's tx_end outcomes
+    recs = [json.loads(line) for line in twin.trace_lines]
+    assert len(starts) == sum(r["kind"] == "tx_start" for r in recs)
+    ftype = {r["tx"]: r["ftype"] for r in recs if r["kind"] == "tx_start"}
+    outcomes = Counter((ftype[r["tx"]], r["outcome"]) for r in recs
+                       if r["kind"] == "tx_end")
+    assert collector.collided == {
+        cls: outcomes[f"{cls}-data", "collided"] for cls in ("regular", "urllc")}
+    assert collector.preempted == sum(
+        n for (_, outcome), n in outcomes.items() if outcome == "aborted")
+    assert summary.urllc_collided == collector.collided["urllc"]
+    assert summary.regular_preempted == collector.preempted
+    assert collector.collided["regular"] > 0
+    assert (collector.preempted > 0) == (scheme == "proposed")

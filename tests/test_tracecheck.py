@@ -196,6 +196,31 @@ def tone(on, off):
             (off, "tone_off", dict(sta="u", reason="delivered")))
 
 
+def tone_record(t, kind, sta):
+    fields = dict(fast=True) if kind == "tone_on" else dict(reason="delivered")
+    return (t, kind, dict(sta=sta, **fields))
+
+
+def test_tone_records_are_matched_by_holder_not_by_level():
+    # The simulator refuses both: a station raises at most one tone, and
+    # releases only the one it holds.  Counted by level alone, the first
+    # trace below balances out into one closed span.
+    lines = synthetic(tone_record(0, "tone_on", "u0"), tone_record(5, "tone_on", "u0"),
+                      tone_record(10, "tone_off", "u1"))
+    with pytest.raises(ValueError, match=r"^line 2: .*u0 raised a second tone"):
+        scan_trace(lines, 1000, 0)
+    lines = synthetic(tone_record(0, "tone_on", "u0"),
+                      tone_record(10, "tone_off", "u1"))
+    with pytest.raises(ValueError, match=r"^line 2: .*tone_off from u1, which "
+                                         r"holds no tone"):
+        scan_trace(lines, 1000, 0)
+    # overlapping holders make one span, from the first tone_on to the last tone_off
+    lines = synthetic(tone_record(0, "tone_on", "u0"), tone_record(5, "tone_on", "u1"),
+                      tone_record(10, "tone_off", "u0"),
+                      tone_record(20, "tone_off", "u1"))
+    assert load_records(lines).spans == [(0, 20)]
+
+
 def test_a_span_shorter_than_the_delay_does_not_hide_a_later_hit():
     lines = synthetic(*regular_tx(1, 50, 150, "clean"), *tone(100, 102),
                       *tone(110, 200))
