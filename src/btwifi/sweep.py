@@ -74,8 +74,9 @@ def _execute_point(args) -> RunSummary:
         raise SweepError(run_cfg.scheme, run_cfg.m_urllc, run_cfg.seed, exc) from exc
     if trace_path is not None:
         with open(trace_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(result.trace_lines))
-            fh.write("\n")
+            # line by line, so no joined copy of the trace is held; the bytes
+            # are those of "\n".join(lines) + "\n", one blank line if empty
+            fh.writelines(f"{line}\n" for line in result.trace_lines or [""])
     return result.summary
 
 

@@ -5,11 +5,16 @@ summary claims (delays, throughput, busy fraction, preemption/tone
 behaviour) can be recomputed from it by an independent scanner, so the
 records carry absolute times and stable ids rather than simulator-internal
 references.
+
+Each record is written by one format string per kind, in the key order and
+with the compact separators of json.dumps(record, separators=(",", ":")).
+No string is escaped: the simulator generates every one, the ids as r{i},
+u{j}, ap and <sta>:<n> and every other string as a module constant, and none
+holds a quote, a backslash or a control character.  tests/test_trace.py
+keeps json.dumps as the oracle for every kind.
 """
 
 from __future__ import annotations
-
-import json
 
 from .medium import ABORTED
 from .metrics import MetricsCollector
@@ -23,41 +28,45 @@ class Tracer(MetricsCollector):
         super().__init__(warmup, duration)
         self.lines: list[str] = []
 
-    def emit(self, record: dict) -> None:
-        self.lines.append(json.dumps(record, separators=(",", ":")))
+    def emit(self, line: str) -> None:
+        self.lines.append(line)
 
     def on_arrival(self, t, sta, cls, frame) -> None:
         super().on_arrival(t, sta, cls, frame)
-        self.emit({"t": t, "kind": "arrival", "sta": sta, "frame": frame.frame_id,
-                   "cls": cls})
+        self.emit(f'{{"t":{t},"kind":"arrival","sta":"{sta}",'
+                  f'"frame":"{frame.frame_id}","cls":"{cls}"}}')
 
     def on_tx_start(self, t, tx, dur, busy_edge) -> None:
         super().on_tx_start(t, tx, dur, busy_edge)
-        rec = {"t": t, "kind": "tx_start", "sta": tx.sta, "tx": tx.tx_id,
-               "ftype": tx.ftype, "dur": dur}
-        if tx.frame_id is not None:
-            rec["frame"] = tx.frame_id
-        self.emit(rec)
+        if tx.frame_id is None:
+            self.emit(f'{{"t":{t},"kind":"tx_start","sta":"{tx.sta}",'
+                      f'"tx":{tx.tx_id},"ftype":"{tx.ftype}","dur":{dur}}}')
+        else:
+            self.emit(f'{{"t":{t},"kind":"tx_start","sta":"{tx.sta}",'
+                      f'"tx":{tx.tx_id},"ftype":"{tx.ftype}","dur":{dur},'
+                      f'"frame":"{tx.frame_id}"}}')
 
     def on_tx_end(self, t, tx, outcome, idle_edge) -> None:
         super().on_tx_end(t, tx, outcome, idle_edge)
-        self.emit({"t": t, "kind": "tx_end", "tx": tx.tx_id, "outcome": outcome})
+        self.emit(f'{{"t":{t},"kind":"tx_end","tx":{tx.tx_id},"outcome":"{outcome}"}}')
         if outcome == ABORTED:
-            self.emit({"t": t, "kind": "preempted", "sta": tx.sta, "frame": tx.frame_id})
+            self.emit(f'{{"t":{t},"kind":"preempted","sta":"{tx.sta}",'
+                      f'"frame":"{tx.frame_id}"}}')
 
     def on_tone_on(self, t, sta, fast) -> None:
         super().on_tone_on(t, sta, fast)
-        self.emit({"t": t, "kind": "tone_on", "sta": sta, "fast": fast})
+        self.emit(f'{{"t":{t},"kind":"tone_on","sta":"{sta}",'
+                  f'"fast":{"true" if fast else "false"}}}')
 
     def on_tone_off(self, t, sta, reason) -> None:
         super().on_tone_off(t, sta, reason)
-        self.emit({"t": t, "kind": "tone_off", "sta": sta, "reason": reason})
+        self.emit(f'{{"t":{t},"kind":"tone_off","sta":"{sta}","reason":"{reason}"}}')
 
     def on_delivered(self, t, sta, cls, frame, payload_bits) -> None:
         super().on_delivered(t, sta, cls, frame, payload_bits)
-        self.emit({"t": t, "kind": "delivered", "sta": sta, "frame": frame.frame_id,
-                   "delay": t - frame.arrival_time})
+        self.emit(f'{{"t":{t},"kind":"delivered","sta":"{sta}",'
+                  f'"frame":"{frame.frame_id}","delay":{t - frame.arrival_time}}}')
 
     def on_dropped(self, t, sta, cls, frame) -> None:
         super().on_dropped(t, sta, cls, frame)
-        self.emit({"t": t, "kind": "dropped", "sta": sta, "frame": frame.frame_id})
+        self.emit(f'{{"t":{t},"kind":"dropped","sta":"{sta}","frame":"{frame.frame_id}"}}')

@@ -6,17 +6,20 @@ busy time by interval union.  None of the simulator's internal flags are
 consulted, so this module can catch bookkeeping bugs the simulator itself
 cannot see.
 
-load_records is the only place a trace record is parsed.  It reads its
-lines once, one record at a time, into a Trace of compact state: one
-TxRecord per transmission, the tone spans, the delivered frames and the
-drop and preemption counts.  Any malformed record, a tx_end without its
-tx_start included, raises a ValueError that names its line.  scan_trace and
-replay_csv_row are load_records plus their own checks or counts.  The replay
-takes every count from the trace and shares with the simulator only
-metrics.summarize, which turns counts into a RunSummary.  count_kinds reads
-only `kind`, in a cheaper loop of its own, and fails the same way.  The tone
-check is a two-pointer sweep over the transmissions and the tone spans, both
-sorted by start, so an audit takes O(n log n) time in the number of records.
+_records is the only place a trace line is parsed: CHUNK lines at a time,
+with one json.loads under a guard that proves it reads what json.loads line
+by line would (see _parse_chunk), and line by line otherwise, so the first
+bad line is still the one named.  load_records folds its lines, read once,
+into a Trace of compact state: one TxRecord per transmission, the tone
+spans, the delivered frames and the drop and preemption counts.  Any
+malformed record, a tx_end without its tx_start included, raises a
+ValueError that names its line.  scan_trace and replay_csv_row are
+load_records plus their own checks or counts.  The replay takes every count
+from the trace and shares with the simulator only metrics.summarize, which
+turns counts into a RunSummary.  count_kinds reads only `kind` of the same
+records and fails the same way.  The tone check is a two-pointer sweep over
+the transmissions and the tone spans, both sorted by start, so an audit
+takes O(n log n) time in the number of records.
 
 Command line:
 
@@ -49,6 +52,11 @@ _FTYPES = {f: f for f in [f"{cls}-data" for cls in CLASSES] + ["ack"]}
 _OUTCOMES = {o: o for o in (CLEAN, COLLIDED, ABORTED)}
 _CLASSES = {cls: cls for cls in CLASSES}
 
+# Non-blank lines per json.loads.  The parse time is flat from 128 to 1,024
+# lines, and a chunk's parsed records are all held at once.
+CHUNK = 256
+_JSON_SPACE = " \t\n\r"  # the whitespace json.loads skips around a value
+
 
 @dataclass(slots=True)
 class TxRecord:
@@ -76,6 +84,61 @@ def _malformed(lineno: int, exc: Exception) -> ValueError:
                       f"({type(exc).__name__}: {exc})")
 
 
+def _records(lines: Iterable[str]):
+    """(lineno, record) for each non-blank line, parsed CHUNK lines at a time.
+
+    The records and the first error are those of json.loads line by line: a
+    line it cannot read raises ValueError naming that line, after every
+    record before it has been yielded.
+    """
+    linenos: list[int] = []
+    chunk: list[str] = []
+    for lineno, line in enumerate(lines, 1):
+        if line.strip():
+            linenos.append(lineno)
+            chunk.append(line)
+            if len(chunk) == CHUNK:
+                yield from _parse_chunk(linenos, chunk)
+                linenos, chunk = [], []
+    if chunk:
+        yield from _parse_chunk(linenos, chunk)
+
+
+def _parse_chunk(linenos: list[int], chunk: list[str]):
+    """The chunk's records from one json.loads of all its lines, when a guard
+    proves that this reads each line as one object; else line by line.
+
+    The guard is on the n lines, stripped and joined by ",\n": the text holds
+    n-1 newlines, n-1 "},\n{" seams, n "{" and n "}", and starts with "{" and
+    ends with "}".  A JSON string cannot hold a raw newline, so every newline
+    is a seam between two lines and every seam's braces are structural.  With
+    the first and the last character these are n braces of each kind, all
+    there are: no brace is inside a string, no object nests in another, and
+    the elements are exactly the lines, one object each.  Without the guard a
+    record split over two lines and two records on one line would make the
+    same number of elements and parse, where line by line both fail.
+    """
+    n = len(chunk)
+    text = ",\n".join([line.strip(_JSON_SPACE) for line in chunk])
+    if (text[0] == "{" and text[-1] == "}" and text.count("\n") == n - 1
+            and text.count("},\n{") == n - 1
+            and text.count("{") == n and text.count("}") == n):
+        try:
+            return zip(linenos, json.loads(f"[{text}]"))
+        except (ValueError, RecursionError):
+            pass  # the parse below names the first line that fails
+    return _parse_lines(linenos, chunk)
+
+
+def _parse_lines(linenos: list[int], chunk: list[str]):
+    for lineno, line in zip(linenos, chunk):
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise _malformed(lineno, exc) from exc
+        yield lineno, rec
+
+
 def load_records(lines: Iterable[str]) -> Trace:
     """Fold a trace into a Trace, reading lines once.
 
@@ -97,11 +160,8 @@ def load_records(lines: Iterable[str]) -> Trace:
     open_frames: dict[str, tuple[int, str]] = {}  # frame -> (arrival, class)
     delivered: list[tuple[int, int, str]] = []
     dropped = dict.fromkeys(CLASSES, 0)
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
+    for lineno, rec in _records(lines):
         try:
-            rec = json.loads(line)
             kind, t = rec["kind"], rec["t"]
             if type(t) is not int:
                 raise TypeError(f"{kind} needs an integer t")
@@ -268,13 +328,12 @@ def scan_trace(lines: Iterable[str], duration: int, warmup: int,
 
 def count_kinds(lines: Iterable[str]) -> dict[str, int]:
     counts: dict[str, int] = {}
-    for lineno, line in enumerate(lines, 1):
-        if line.strip():
-            try:
-                kind = json.loads(line)["kind"]
-                counts[kind] = counts.get(kind, 0) + 1
-            except (KeyError, TypeError, ValueError) as exc:
-                raise _malformed(lineno, exc) from exc
+    for lineno, rec in _records(lines):
+        try:
+            kind = rec["kind"]
+            counts[kind] = counts.get(kind, 0) + 1
+        except (KeyError, TypeError) as exc:
+            raise _malformed(lineno, exc) from exc
     return counts
 
 

@@ -300,6 +300,20 @@ def test_cli_writes_traces_when_asked(tmp_path):
     assert "t" in first and "kind" in first
 
 
+def test_trace_files_hold_each_line_and_a_newline(tmp_path):
+    cfg = replace(QUICK, seeds=(1,))
+    empty = replace(cfg, n_regular=0, m_list=(1,), schemes=("proposed",),
+                    sim_duration=10, warmup=0, urllc_mean_interarrival=10**9)
+    for c in (cfg, empty):
+        run_sweep(c, trace_dir=str(tmp_path))
+        for scheme, m, seed in expand_grid(c):
+            lines = run_single(c.run_config(scheme, m, seed, trace=True)).trace_lines
+            path = tmp_path / trace_filename(scheme, c.n_regular, m, seed)
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    # a run that writes no record leaves a file of one blank line
+    assert (tmp_path / trace_filename("proposed", 0, 1, 1)).read_bytes() == b"\n"
+
+
 def test_cli_curve_files(tmp_path):
     cfg_file = tmp_path / "scenario.cfg"
     cfg_file.write_text("""

@@ -1,0 +1,79 @@
+"""Tracer writes each record with a format string of its own kind; json.dumps
+of the same fields, in the same key order, is the oracle for every one."""
+
+import json
+
+import pytest
+
+from btwifi.config import ScenarioConfig
+from btwifi.mac import Frame
+from btwifi.medium import ABORTED, CLEAN, COLLIDED, Transmission
+from btwifi.simulation import run_single
+from btwifi.trace import Tracer
+
+
+def dumps(**record):
+    return json.dumps(record, separators=(",", ":"))
+
+
+def data_tx(tx_id, sta, frame_id, ftype="regular-data"):
+    return Transmission(tx_id, sta, ftype, frame_id, on_end=None)
+
+
+def test_every_record_kind_matches_json_dumps():
+    tr = Tracer(0, 10_000)
+    frame = Frame("r3:17", 40)
+    urllc_frame = Frame("u0:2", 90)
+    ack = Transmission(7, "ap", "ack", None, on_end=None)
+    cases = [
+        (lambda: tr.on_arrival(40, "r3", "regular", frame),
+         [dumps(t=40, kind="arrival", sta="r3", frame="r3:17", cls="regular")]),
+        (lambda: tr.on_tx_start(100, data_tx(5, "r3", "r3:17"), 2000, True),
+         [dumps(t=100, kind="tx_start", sta="r3", tx=5, ftype="regular-data",
+                dur=2000, frame="r3:17")]),
+        (lambda: tr.on_tx_start(2116, ack, 44, False),
+         [dumps(t=2116, kind="tx_start", sta="ap", tx=7, ftype="ack", dur=44)]),
+        (lambda: tr.on_tx_end(2100, data_tx(5, "r3", "r3:17"), CLEAN, True),
+         [dumps(t=2100, kind="tx_end", tx=5, outcome="clean")]),
+        (lambda: tr.on_tx_end(2100, data_tx(6, "r1", "r1:4"), COLLIDED, False),
+         [dumps(t=2100, kind="tx_end", tx=6, outcome="collided")]),
+        (lambda: tr.on_tx_end(150, data_tx(8, "r2", "r2:9"), ABORTED, False),
+         [dumps(t=150, kind="tx_end", tx=8, outcome="aborted"),
+          dumps(t=150, kind="preempted", sta="r2", frame="r2:9")]),
+        (lambda: tr.on_tone_on(90, "u0", True),
+         [dumps(t=90, kind="tone_on", sta="u0", fast=True)]),
+        (lambda: tr.on_tone_on(95, "u1", False),
+         [dumps(t=95, kind="tone_on", sta="u1", fast=False)]),
+        (lambda: tr.on_tone_off(400, "u0", "delivered"),
+         [dumps(t=400, kind="tone_off", sta="u0", reason="delivered")]),
+        (lambda: tr.on_tone_off(900, "u1", "dropped"),
+         [dumps(t=900, kind="tone_off", sta="u1", reason="dropped")]),
+        (lambda: tr.on_delivered(2160, "r3", "regular", frame, 1600),
+         [dumps(t=2160, kind="delivered", sta="r3", frame="r3:17", delay=2120)]),
+        (lambda: tr.on_delivered(384, "u0", "urllc", urllc_frame, 1600),
+         [dumps(t=384, kind="delivered", sta="u0", frame="u0:2", delay=294)]),
+        (lambda: tr.on_dropped(5000, "u0", "urllc", urllc_frame),
+         [dumps(t=5000, kind="dropped", sta="u0", frame="u0:2")]),
+    ]
+    for call, want in cases:
+        before = len(tr.lines)
+        call()
+        assert tr.lines[before:] == want
+
+
+@pytest.mark.parametrize("scheme", ["legacy", "proposed"])
+def test_a_run_writes_each_record_once_through_emit_and_needs_no_escaping(
+        scheme, monkeypatch):
+    calls = []
+    original = Tracer.emit
+
+    def counted(self, line):
+        calls.append(line)
+        original(self, line)
+    monkeypatch.setattr(Tracer, "emit", counted)
+    cfg = ScenarioConfig(n_regular=3, sim_duration=300_000, warmup=30_000)
+    lines = run_single(cfg.run_config(scheme, 3, 1, trace=True)).trace_lines
+    assert lines and calls == lines
+    # an id or constant that needed escaping would be re-encoded differently
+    for line in lines:
+        assert json.dumps(json.loads(line), separators=(",", ":")) == line

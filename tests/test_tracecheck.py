@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from btwifi import tracecheck
 from btwifi.config import ScenarioConfig
 from btwifi.simulation import run_single
 from btwifi.sweep import summary_row
@@ -276,6 +277,192 @@ def test_collect_transmissions_leaves_the_trace_unchanged():
     assert [tx.end for tx in collect_transmissions(trace, 20)] == [20]
     assert [tx.end for tx in collect_transmissions(trace, 100)] == [50]
     assert trace.txs[1].end is None
+
+
+# -- the chunked parse against a line-by-line reference ---------------------------
+
+def per_line_records(lines):
+    """The reference parse: json.loads of each non-blank line, in order."""
+    for lineno, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: malformed record "
+                                 f"({type(exc).__name__}: {exc})") from exc
+            yield lineno, rec
+
+
+def parsed(open_lines):
+    """load_records' Trace and count_kinds' counts, or each one's error."""
+    out = []
+    for parse in (load_records, count_kinds):
+        try:
+            out.append(parse(open_lines()))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def assert_parsed_as_reference(lines, monkeypatch):
+    """Both parses of lines (a list, or a function opening them) equal the
+    reference's; returns them."""
+    open_lines = lines if callable(lines) else lambda: lines
+    got = parsed(open_lines)
+    with monkeypatch.context() as m:
+        m.setattr(tracecheck, "_records", per_line_records)
+        want = parsed(open_lines)
+    assert got == want
+    return got
+
+
+ON = '{"t":1,"kind":"tone_on","sta":"x","fast":true}'
+OFF = '{"t":2,"kind":"tone_off","sta":"x","reason":"delivered"}'
+
+
+@pytest.fixture(scope="module")
+def real_lines():
+    lines = traced_run("proposed", 2, seed=3).trace_lines
+    assert len(lines) > 2 * tracecheck.CHUNK
+    return lines
+
+
+def test_real_traces_take_the_one_parse_per_chunk(real_lines, monkeypatch):
+    def per_line(*_):
+        raise AssertionError("a chunk of a real trace was parsed line by line")
+    monkeypatch.setattr(tracecheck, "_parse_lines", per_line)
+    load_records(real_lines)
+    assert sum(count_kinds(real_lines).values()) == len(real_lines)
+
+
+def test_lines_as_many_as_their_elements_can_still_be_malformed(monkeypatch):
+    # a record split over two lines, then two records on one line
+    lines = ['{"t":1,"kind":"tone_on","sta":"x"', '"fast":true}', OFF + "," + ON]
+    assert len(json.loads("[" + ",".join(lines) + "]")) == len(lines)
+    assert assert_parsed_as_reference(lines, monkeypatch) == [
+        "line 1: malformed record (JSONDecodeError: Expecting ',' delimiter: "
+        "line 1 column 34 (char 33))"] * 2
+
+
+@pytest.mark.parametrize("lines", [
+    # a string that spans lines
+    ['{"t":1,"kind":"tone_on","sta":"x},{"', '"}', '{}, {}'],
+    # a line that holds a newline and two records, the braces and seams of
+    # the chunk still balanced by the two lines after it
+    [ON + ",\n" + OFF, '{"t":3,"kind":"tone_on","sta":"y"', '"fast":true}'],
+    # values that are not objects
+    [ON, "5", OFF], [ON, "[]"], [ON, '"{}"'],
+    # braces inside strings
+    ['{"t":1,"kind":"tone_on","sta":"}{"}', '{"t":2,"kind":"tone_off","sta":"}{",'
+     '"reason":"delivered"}'],
+    ['{"t":1,"kind":"tone_on","sta":"x","fast":true,"k":"},\\n{"}', OFF],
+])
+def test_lines_that_are_not_one_plain_object_each_parse_as_the_reference(
+        lines, monkeypatch):
+    assert_parsed_as_reference(lines, monkeypatch)
+
+
+def test_a_chunk_too_deep_for_one_parse_is_parsed_line_by_line(real_lines,
+                                                               monkeypatch):
+    # Inside the chunk's array a record is one level deeper, so a line nested
+    # just within the interpreter's limit parses alone but not in the chunk.
+    loads = json.loads
+
+    def array_too_deep(text):
+        if text.startswith("["):
+            raise RecursionError("maximum recursion depth exceeded")
+        return loads(text)
+    want = [load_records(real_lines), count_kinds(real_lines)]
+    monkeypatch.setattr(json, "loads", array_too_deep)
+    assert assert_parsed_as_reference(real_lines, monkeypatch) == want
+
+
+def test_blank_and_padded_lines_parse_as_the_reference(real_lines, monkeypatch):
+    lines = list(real_lines[:50])
+    lines[3:3] = ["", "   ", "\t", "\u00a0", "\r"]
+    lines[10] = "  " + lines[10] + " \t\r\n"
+    lines[20] = "\n" + lines[20]
+    got = assert_parsed_as_reference(lines, monkeypatch)
+    assert got == [load_records(real_lines[:50]), count_kinds(real_lines[:50])]
+    # json.loads does not skip every space that str.strip does
+    lines[30] = "\u00a0" + lines[30]
+    got = assert_parsed_as_reference(lines, monkeypatch)
+    assert got == ["line 31: malformed record (JSONDecodeError: Expecting value: "
+                   "line 1 column 1 (char 0))"] * 2
+
+
+@pytest.mark.parametrize("position", ["first", "CHUNK", "CHUNK+1"])
+def test_a_malformed_line_at_a_chunk_edge_is_named(real_lines, position,
+                                                   monkeypatch):
+    i = {"first": 0, "CHUNK": tracecheck.CHUNK - 1,
+         "CHUNK+1": tracecheck.CHUNK}[position]
+    lines = list(real_lines)
+    lines[i] = lines[i][:-3]
+    got = assert_parsed_as_reference(lines, monkeypatch)
+    assert got[0] == got[1]
+    assert got[0].startswith(f"line {i + 1}: malformed record (JSONDecodeError")
+
+
+def test_a_fault_in_a_record_comes_before_a_later_json_error(real_lines,
+                                                             monkeypatch):
+    lines = list(real_lines[:40])
+    lines[5] = '{"t":5,"kind":"tx_end","tx":999999,"outcome":"clean"}'
+    lines[30] = lines[30][:-1]
+    got = assert_parsed_as_reference(lines, monkeypatch)
+    assert got[0] == "line 6: malformed record (KeyError: 999999)"
+    assert got[1].startswith("line 31: malformed record (JSONDecodeError")
+
+
+def test_a_file_parses_as_its_list_of_lines(real_lines, tmp_path, monkeypatch):
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(real_lines) + "\n")
+    files = []
+
+    def open_file():
+        files.append(open(path, encoding="utf-8"))
+        return files[-1]
+    try:
+        got = assert_parsed_as_reference(open_file, monkeypatch)
+        assert got == [load_records(real_lines), count_kinds(real_lines)]
+        # the reference names the column after the newline that json.loads saw
+        broken = list(real_lines)
+        broken[tracecheck.CHUNK + 7] = broken[tracecheck.CHUNK + 7][:-1]
+        path.write_text("\n".join(broken) + "\n")
+        got = assert_parsed_as_reference(open_file, monkeypatch)
+        assert got[0].startswith(f"line {tracecheck.CHUNK + 8}: malformed record")
+        assert "line 2 column 1" in got[0]
+    finally:
+        for fh in files:
+            fh.close()
+
+
+def test_joined_split_and_truncated_lines_parse_as_the_reference(real_lines,
+                                                                 monkeypatch):
+    monkeypatch.setattr(tracecheck, "CHUNK", 16)  # many chunks, many edges
+    rng = random.Random(2026)
+    base = list(real_lines[:200])
+    faults = 0
+    for _ in range(300):
+        lines = list(base)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(lines) - 1)
+            cut = rng.randrange(len(lines[i]) + 1)
+            op = rng.choice(("join", "split", "truncate", "blank", "pad"))
+            if op == "join":
+                lines[i:i + 2] = [lines[i] + rng.choice(("", ",", ", ", ",\n"))
+                                  + lines[i + 1]]
+            elif op == "split":
+                lines[i:i + 1] = [lines[i][:cut], lines[i][cut:]]
+            elif op == "truncate":
+                lines[i] = lines[i][:cut]
+            elif op == "blank":
+                lines.insert(i, rng.choice(("", " ", "\t", "\u00a0")))
+            else:
+                lines[i] = rng.choice((" ", "\t", "\u00a0")) + lines[i]
+        with monkeypatch.context() as m:
+            got = assert_parsed_as_reference(lines, m)
+        faults += isinstance(got[0], str)
+    assert faults > 200  # most mutations break a record
 
 
 # -- command line ---------------------------------------------------------------
