@@ -37,7 +37,8 @@ class Engine:
     """Single-run event loop.  Not shared between runs, never thread-safe.
 
     An event is its own [fire_at, seq, fn] heap entry; fn is None once the
-    event has fired or been cancelled.
+    event has fired or been cancelled.  Only the engine reads an event;
+    its owner only passes it to cancel() and keeps its own fire instant.
     """
 
     def __init__(self) -> None:

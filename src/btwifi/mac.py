@@ -45,8 +45,8 @@ the moment the tone is detected, and does not arm while
 ``Medium.tone_heard`` is set: suspension is the medium's heard level, set
 before any listener is told, so the main-channel idle edge left by the
 first abort arms no station that obeys the tone.
-Only a ``waiting`` station, one whose head frame contends, is ever
-armed, so never a low-latency station on the no-backoff path.
+Only a station whose head frame contends is ever armed, so never a
+low-latency station on the no-backoff path.
 ``Station._contend`` is the way into contention for every station class:
 a new frame, a retry, a re-contention after a tone abort, and a
 low-latency frame joining a tone.  A tone-triggered abort is not treated
@@ -108,13 +108,12 @@ class Station:
         self.source = None  # set after construction
 
         self.aifs_us = aifs(params, phy)
-        self.waiting = False  # the head frame is contending
         self.head: Optional[Frame] = None
         self.retry_count = 0
         self._counter = 0  # the backoff counter while not in the class heap
         self._key: Optional[int] = None  # the class heap key while in it
         self._at: Optional[SimTime] = None  # fire instant when armed alone or due
-        self._arm_ev: Optional[list] = None  # own event of an off-edge arm
+        self._arm_ev: Optional[list] = None  # own event of an off-edge arm, to cancel
         self._cur_tx: Optional[Transmission] = None
         medium.enroll(self)  # sets ac (the AccessClass) and index
 
@@ -128,10 +127,9 @@ class Station:
         """Where the armed counter hits 0; None while not armed."""
         if self._at is not None:
             return self._at
-        ac = self.ac
-        if self._key is None or ac.since is None:
+        if self._key is None or self.ac.since is None:
             return None
-        return ac.since + ac.aifs + (self._key - ac.offset) * ac.slot
+        return self.ac.fire_at(self._key)
 
     # -- frame intake -------------------------------------------------------
 
@@ -150,11 +148,10 @@ class Station:
     # -- backoff / deferral --------------------------------------------------
 
     def _contend(self) -> None:
-        """The one way into contention: draw, mark waiting, arm if allowed."""
+        """The one way into contention: draw, then wait, armed if allowed."""
         p = self.params
         cw = min((p.cw_min + 1) * (1 << self.retry_count) - 1, p.cw_max)
         self._counter = self.rng.uniform_int(0, cw)
-        self.waiting = True
         if self.medium.is_main_busy():
             self.ac.push(self, self._counter)
         else:
@@ -163,7 +160,7 @@ class Station:
     def _freeze(self, t: SimTime) -> None:
         """Disarm at t and join the class heap; keep the slots still left,
         a partial one included."""
-        self._arm_ev[2] = None  # inline Engine.cancel
+        self.engine.cancel(self._arm_ev)
         self._arm_ev = None
         del self.medium._armed[self]
         left = (self._at - t + self.phy.slot_time - 1) // self.phy.slot_time
@@ -214,7 +211,6 @@ class Station:
             del self.medium._armed[self]
             self._arm_ev = None
         self._at = None
-        self.waiting = False
         self._cur_tx = self.medium.begin_transmission(
             self.sta_id, f"{self.traffic_class}-data", self.params.data_airtime,
             self._on_data_end, frame_id=self.head.frame_id)

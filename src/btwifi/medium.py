@@ -39,9 +39,10 @@ class Transmission:
     sta: str
     ftype: str
     frame_id: object  # the data frame's id; None for an ack
+    end: SimTime  # the scheduled end; an abort leaves it as it is
     on_end: Callable[[str], None]
     dirty: bool = False  # overlapped some other transmission at any point
-    _end_ev: object = None
+    _end_ev: object = None  # the event at end, only passed to Engine.cancel
 
 
 class AccessClass:
@@ -55,17 +56,19 @@ class AccessClass:
     key minus offset, so a freeze adds the slots that elapsed to offset
     once for the whole class.  since is the instant the class started
     counting (the main idle edge, or a heard tone clear for a class that
-    obeys the tone), None while it is frozen; while it counts, every
-    station in heap is armed for since + AIFS + counter * slot, and ev is
-    the one event at the earliest of those instants.  due holds the
-    stations that a busy edge found due at its own instant, behind due_ev,
-    the event that was ev: they transmit into the collision.
-    """
+    obeys the tone), None while it is frozen.  Stations join heap only
+    then, so while the class counts each is armed for fire_at(its key),
+    and ev is the one event at the earliest, at.  due holds the stations
+    that a busy edge found due at its own instant, behind due_ev, the
+    event that was ev: they transmit into the collision.  Both events are
+    only passed to Engine.cancel."""
 
-    __slots__ = ("aifs", "slot", "obeys_tone", "size", "heap", "offset",
-                 "since", "ev", "due", "due_ev")
+    __slots__ = ("engine", "aifs", "slot", "obeys_tone", "size", "heap",
+                 "offset", "since", "ev", "at", "due", "due_ev")
 
-    def __init__(self, aifs: SimTime, slot: SimTime, obeys_tone: bool) -> None:
+    def __init__(self, engine: Engine, aifs: SimTime, slot: SimTime,
+                 obeys_tone: bool) -> None:
+        self.engine = engine
         self.aifs = aifs
         self.slot = slot
         self.obeys_tone = obeys_tone
@@ -74,6 +77,7 @@ class AccessClass:
         self.offset = 0
         self.since: SimTime | None = None
         self.ev: list | None = None
+        self.at: SimTime = -1
         self.due: list = []
         self.due_ev: list | None = None
 
@@ -82,9 +86,16 @@ class AccessClass:
         sta._key = key = counter + self.offset
         heapq.heappush(self.heap, (key, sta.index, sta))
 
-    def due_at(self) -> SimTime:
-        """When the first station in heap hits 0, while the class counts."""
-        return self.since + self.aifs + (self.heap[0][0] - self.offset) * self.slot
+    def fire_at(self, key: int) -> SimTime:
+        """When the station with heap key key hits 0, while the class counts."""
+        return self.since + self.aifs + (key - self.offset) * self.slot
+
+    def start(self, t: SimTime) -> None:
+        """Count from t, behind one event at the earliest fire instant."""
+        self.since = t
+        if self.heap:
+            self.at = self.fire_at(self.heap[0][0])
+            self.ev = self.engine.schedule(self.at, self._fire)
 
     def stop(self, t: SimTime, tone: bool = False) -> None:
         """Freeze at t, a busy edge or (tone) a heard tone.
@@ -97,19 +108,19 @@ class AccessClass:
         if self.since is not None:
             ev = self.ev
             if ev is not None:
-                if ev[0] == t and not tone:
+                if not tone and self.at == t:
                     self.due_ev, self.due = ev, self._pop_due()
                     for sta in self.due:
                         sta._at = t
                 else:
-                    ev[2] = None  # inline Engine.cancel
+                    self.engine.cancel(ev)
                 self.ev = None
             k = (t - self.since - self.aifs) // self.slot
             if k > 0:
                 self.offset += k
             self.since = None
-        if tone and self.due_ev is not None:
-            self.due_ev[2] = None
+        if tone and self.due:
+            self.engine.cancel(self.due_ev)
             for sta in self.due:
                 sta._at = None
                 self.push(sta, 0)
@@ -130,10 +141,11 @@ class AccessClass:
         return due
 
     def _fire(self) -> None:
-        """Callback of both events: the held due stations if theirs is the
-        event dispatching, else the stations ev was scheduled for."""
-        due_ev = self.due_ev
-        if due_ev is not None and due_ev[2] is None:  # marked fired: dispatching
+        """Callback of both events: the held due stations if any, else those
+        ev was scheduled for.  due_ev sits at its busy edge's instant t and a
+        class restarting at t fires no earlier than t + AIFS >= t + 3, so
+        due_ev dispatches first whatever the order within one microsecond."""
+        if self.due:
             due, self.due, self.due_ev = self.due, [], None
         else:
             self.ev = None
@@ -157,7 +169,7 @@ class Medium:
     waiting while it may not count (the main channel busy, or a heard tone
     that it obeys) sits in its class's heap.  At a main idle edge every
     class that may count starts, and at a heard tone clear on an idle
-    channel every class that obeys the tone does (``Medium._start``): each
+    channel every class that obeys the tone does (``AccessClass.start``): each
     schedules one event at its earliest station's instant, so an edge
     costs O(classes), not O(stations).  The class events of one edge are scheduled one after
     another in class order, so each ranks against the other events of its
@@ -205,16 +217,17 @@ class Medium:
         was_idle = not self._active
         dirty = False
         for other in self._active.values():
-            if other._end_ev[0] == now:  # touches this frame; ends by its own event
+            if other.end == now:  # touches this frame; ends by its own event
                 continue
             if other.sta == sta:
                 raise ContractViolation(f"{sta} began a second transmission at t={now}")
             other.dirty = dirty = True
-        tx = Transmission(self._next_tx_id, sta, ftype, frame_id, on_end, dirty=dirty)
+        tx = Transmission(self._next_tx_id, sta, ftype, frame_id, now + duration,
+                          on_end, dirty=dirty)
         self._next_tx_id += 1
         self._active[tx.tx_id] = tx
-        tx._end_ev = self.engine.schedule(now + duration, lambda: self._finish(tx))
-        self.collector.on_tx_start(now, tx, duration, was_idle)
+        tx._end_ev = self.engine.schedule(tx.end, lambda: self._finish(tx))
+        self.collector.on_tx_start(now, tx, was_idle)
         if was_idle:
             for ac in self.classes:
                 ac.stop(now)
@@ -237,7 +250,8 @@ class Medium:
         del self._active[tx.tx_id]
         self.collector.on_tx_end(now, tx, outcome, not self._active)
         if not self._active:
-            self._start(now, self._deaf if self.tone_heard else self.classes)
+            for ac in self._deaf if self.tone_heard else self.classes:
+                ac.start(now)
         tx.on_end(outcome)
 
     # -- channel access -----------------------------------------------------
@@ -250,21 +264,13 @@ class Medium:
             if (ac.aifs, ac.slot, ac.obeys_tone) == key:
                 break
         else:
-            ac = AccessClass(*key)
+            ac = AccessClass(self.engine, *key)
             self.classes.append(ac)
             (self._obeying if ac.obeys_tone else self._deaf).append(ac)
         sta.ac, sta.index = ac, ac.size
         ac.size += 1
         if sta.obeys_tone:
             self.tone_listeners.append(sta)
-
-    def _start(self, t: SimTime, starting: list) -> None:
-        """Start the given classes counting at t, each behind one event
-        scheduled in class order."""
-        for ac in starting:
-            ac.since = t
-            if ac.heap:
-                ac.ev = self.engine.schedule(ac.due_at(), ac._fire)
 
     # -- tone (control) channel --------------------------------------------
 
@@ -318,6 +324,7 @@ class Medium:
                 sta_obj.on_control_busy(now)
         else:
             if not self._active:
-                self._start(now, self._obeying)
+                for ac in self._obeying:
+                    ac.start(now)
             for sta_obj in self.tone_listeners:
                 sta_obj.on_control_idle(now)

@@ -20,7 +20,7 @@ only this arithmetic with the collector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import ContractViolation, SimTime
@@ -39,16 +39,14 @@ def nearest_rank(sorted_samples: list, pct: int):
 
 @dataclass(slots=True)
 class RunSummary:
-    """Exactly the summary CSV's columns, one field per sweep.CSV_COLUMNS
-    entry.  Per-frame and per-station facts are in the run's trace."""
+    """The summary CSV's columns (sweep.CSV_COLUMNS) in order, each named by
+    its field or its metadata's "column".  Per-frame facts are in the trace."""
     scheme: str
-    m_urllc: int
-    n_regular: int
+    m_urllc: int = field(metadata={"column": "M"})
+    n_regular: int = field(metadata={"column": "N"})
     seed: int
-    sim_duration: SimTime
-    warmup: SimTime
-    urllc_delay_mean: Optional[float]
-    urllc_delay_p99: Optional[int]
+    urllc_delay_mean: Optional[float] = field(metadata={"column": "urllc_delay_mean_us"})
+    urllc_delay_p99: Optional[int] = field(metadata={"column": "urllc_delay_p99_us"})
     urllc_delivered: int
     urllc_dropped: int
     urllc_collided: int
@@ -56,14 +54,16 @@ class RunSummary:
     regular_delivered: int
     regular_preempted: int
     channel_busy_fraction: float
+    sim_duration: SimTime = field(metadata={"column": "sim_duration_us"})
+    warmup: SimTime = field(metadata={"column": "warmup_us"})
 
 
 class MetricsCollector:
     """The run's only observer, told each fact once through an on_* hook.
     Stations call the frame hooks with the time, station id, class and Frame;
-    the medium calls on_tx_start and on_tx_end with the Transmission and a
-    busy or idle edge flag; UrllcStation calls the tone hooks, which measure
-    nothing here.  Subclasses such as trace.Tracer call each base hook first."""
+    the medium calls on_tx_start and on_tx_end with the Transmission, which
+    carries its end, and a busy or idle edge flag; UrllcStation calls the tone
+    hooks, which measure nothing here.  trace.Tracer calls each one first."""
 
     def __init__(self, warmup: SimTime, duration: SimTime) -> None:
         if not 0 <= warmup < duration:
@@ -104,7 +104,7 @@ class MetricsCollector:
 
     # -- transmissions and channel occupancy --------------------------------
 
-    def on_tx_start(self, t: SimTime, tx, dur: SimTime, busy_edge: bool) -> None:
+    def on_tx_start(self, t: SimTime, tx, busy_edge: bool) -> None:
         if busy_edge:
             self._busy_since = t
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import contextlib
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields
 from multiprocessing import get_context
 from operator import attrgetter
 from pathlib import Path
@@ -21,18 +24,7 @@ from .metrics import RunSummary
 from .simulation import run_single
 
 # (CSV column, RunSummary attribute), in column order
-CSV_COLUMNS = (
-    ("scheme", "scheme"), ("M", "m_urllc"), ("N", "n_regular"), ("seed", "seed"),
-    ("urllc_delay_mean_us", "urllc_delay_mean"),
-    ("urllc_delay_p99_us", "urllc_delay_p99"),
-    ("urllc_delivered", "urllc_delivered"), ("urllc_dropped", "urllc_dropped"),
-    ("urllc_collided", "urllc_collided"),
-    ("regular_throughput_bps", "regular_throughput_bps"),
-    ("regular_delivered", "regular_delivered"),
-    ("regular_preempted", "regular_preempted"),
-    ("channel_busy_fraction", "channel_busy_fraction"),
-    ("sim_duration_us", "sim_duration"), ("warmup_us", "warmup"),
-)
+CSV_COLUMNS = tuple((f.metadata.get("column", f.name), f.name) for f in fields(RunSummary))
 CSV_HEADER = ",".join(column for column, _ in CSV_COLUMNS)
 _row_fields = attrgetter(*(attr for _, attr in CSV_COLUMNS))
 
@@ -96,11 +88,22 @@ def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
                                                 trace_paths(cfg, trace_dir))]
     # More workers than points or CPUs would only add interpreter start-ups.
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with get_context("spawn").Pool(workers) as pool:
-            # in grid order: the first failing point raises and ends the pool
-            return list(pool.imap(_execute_point, tasks))
-    return [_execute_point(t) for t in tasks]
+    if workers <= 1:
+        return [_execute_point(t) for t in tasks]
+    # An executor, not multiprocessing.Pool: when a worker dies, the pool
+    # fails the points it leaves unfinished instead of waiting for them.
+    summaries = []
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        # in grid order: the first failing point raises, the points not yet
+        # started are cancelled, and those already running finish
+        try:
+            for summary in pool.map(_execute_point, tasks):
+                summaries.append(summary)
+        except BrokenProcessPool as exc:
+            run_cfg = tasks[len(summaries)][0]
+            raise SweepError(run_cfg.scheme, run_cfg.m_urllc, run_cfg.seed,
+                             f"a worker process died ({exc})") from exc
+    return summaries
 
 
 def write_outputs(cfg: ScenarioConfig, out: str, jobs: int = 1,

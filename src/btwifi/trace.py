@@ -21,8 +21,8 @@ from .metrics import MetricsCollector
 
 
 class Tracer(MetricsCollector):
-    """A collector that also keeps each event as a pre-serialized JSONL line;
-    an aborted tx_end is followed by its frame's preempted record."""
+    """A collector that also keeps each event as a JSONL line, calling the
+    MetricsCollector hook by name first; an aborted tx_end adds a preempted one."""
 
     def __init__(self, warmup, duration) -> None:
         super().__init__(warmup, duration)
@@ -32,41 +32,41 @@ class Tracer(MetricsCollector):
         self.lines.append(line)
 
     def on_arrival(self, t, sta, cls, frame) -> None:
-        super().on_arrival(t, sta, cls, frame)
+        MetricsCollector.on_arrival(self, t, sta, cls, frame)
         self.emit(f'{{"t":{t},"kind":"arrival","sta":"{sta}",'
                   f'"frame":"{frame.frame_id}","cls":"{cls}"}}')
 
-    def on_tx_start(self, t, tx, dur, busy_edge) -> None:
-        super().on_tx_start(t, tx, dur, busy_edge)
+    def on_tx_start(self, t, tx, busy_edge) -> None:
+        MetricsCollector.on_tx_start(self, t, tx, busy_edge)
         if tx.frame_id is None:
             self.emit(f'{{"t":{t},"kind":"tx_start","sta":"{tx.sta}",'
-                      f'"tx":{tx.tx_id},"ftype":"{tx.ftype}","dur":{dur}}}')
+                      f'"tx":{tx.tx_id},"ftype":"{tx.ftype}","dur":{tx.end - t}}}')
         else:
             self.emit(f'{{"t":{t},"kind":"tx_start","sta":"{tx.sta}",'
-                      f'"tx":{tx.tx_id},"ftype":"{tx.ftype}","dur":{dur},'
+                      f'"tx":{tx.tx_id},"ftype":"{tx.ftype}","dur":{tx.end - t},'
                       f'"frame":"{tx.frame_id}"}}')
 
     def on_tx_end(self, t, tx, outcome, idle_edge) -> None:
-        super().on_tx_end(t, tx, outcome, idle_edge)
+        MetricsCollector.on_tx_end(self, t, tx, outcome, idle_edge)
         self.emit(f'{{"t":{t},"kind":"tx_end","tx":{tx.tx_id},"outcome":"{outcome}"}}')
         if outcome == ABORTED:
             self.emit(f'{{"t":{t},"kind":"preempted","sta":"{tx.sta}",'
                       f'"frame":"{tx.frame_id}"}}')
 
     def on_tone_on(self, t, sta, fast) -> None:
-        super().on_tone_on(t, sta, fast)
+        MetricsCollector.on_tone_on(self, t, sta, fast)
         self.emit(f'{{"t":{t},"kind":"tone_on","sta":"{sta}",'
                   f'"fast":{"true" if fast else "false"}}}')
 
     def on_tone_off(self, t, sta, reason) -> None:
-        super().on_tone_off(t, sta, reason)
+        MetricsCollector.on_tone_off(self, t, sta, reason)
         self.emit(f'{{"t":{t},"kind":"tone_off","sta":"{sta}","reason":"{reason}"}}')
 
     def on_delivered(self, t, sta, cls, frame, payload_bits) -> None:
-        super().on_delivered(t, sta, cls, frame, payload_bits)
+        MetricsCollector.on_delivered(self, t, sta, cls, frame, payload_bits)
         self.emit(f'{{"t":{t},"kind":"delivered","sta":"{sta}",'
                   f'"frame":"{frame.frame_id}","delay":{t - frame.arrival_time}}}')
 
     def on_dropped(self, t, sta, cls, frame) -> None:
-        super().on_dropped(t, sta, cls, frame)
+        MetricsCollector.on_dropped(self, t, sta, cls, frame)
         self.emit(f'{{"t":{t},"kind":"dropped","sta":"{sta}","frame":"{frame.frame_id}"}}')

@@ -245,7 +245,7 @@ def test_an_idle_edge_arms_every_waiting_station_with_one_event():
     for sta in stations:
         b.enqueue_at(10, sta)
     b.run(999)
-    assert all(sta.waiting and sta.fire_at is None for sta in stations)
+    assert all(sta.head is not None and sta.fire_at is None for sta in stations)
     scheduled = []
     schedule = b.engine.schedule
     b.engine.schedule = lambda t, fn: scheduled.append(t) or schedule(t, fn)
@@ -309,10 +309,35 @@ def test_a_zero_length_frame_on_the_zero_boundary_leaves_the_due_station_armed()
     assert b.collector.collided["regular"] == 0
 
 
+def test_a_held_due_station_starts_before_its_class_restarts_in_that_microsecond():
+    # A foreign x holds [0, 100) while r0 (draw 1) and r1 (draw 2) get a
+    # frame at 1.  The idle edge at 100 arms both for r0's boundary, 100 +
+    # 43 + 9 = 152.  There a foreign y, scheduled first, begins and is
+    # aborted at once: the busy edge holds r0 due, and the idle edge
+    # restarts the class from 152 for r1, one slot down, at 152 + 43 + 9 =
+    # 204.  The held event dispatches first whatever the order within 152:
+    # r0 starts there, and its busy edge freezes r1 at 1 before 204.
+    b = Bench()
+    r0 = b.add_regular("r0", draws=[1])
+    r1 = b.add_regular("r1", draws=[2])
+    b.medium.begin_transmission("x", "regular-data", 100, lambda o: None)
+    for sta in (r0, r1):
+        b.enqueue_at(1, sta)
+    y = []
+    b.engine.schedule(152, lambda: y.append(b.medium.begin_transmission(
+        "y", "regular-data", 100, lambda o: None)))
+    b.engine.schedule(152, lambda: b.medium.abort_transmission(y[0]))
+    b.run(300)
+    starts = [(e["sta"], e["t"], e["tx"]) for e in b.events("tx_start")]
+    assert starts == [("x", 0, 0), ("y", 152, 1), ("r0", 152, 2)]
+    assert 204 not in {t for _, t, _ in starts}
+    assert r1.counter == 1
+
+
 def test_only_a_contending_head_frame_waits_or_is_armed():
-    # Station._contend is the only way into contention, so at any instant a
-    # station without a head frame is not waiting, and an armed station is.
-    # A station that obeys the tone is never armed while the tone is heard.
+    # Station._contend is the only way into contention, so at any instant an
+    # armed station has a head frame.  A station that obeys the tone is
+    # never armed while the tone is heard.
     b = Bench(duration=300_000)
     draw = random.Random(7)
     regular = [b.add_regular(f"r{i}", draws=[draw.randint(0, 15) for _ in range(400)])
@@ -330,8 +355,8 @@ def test_only_a_contending_head_frame_waits_or_is_armed():
         heard.append(b.medium.tone_heard)
         for sta in b.stations.values():
             armed = sta.fire_at is not None
-            seen.add((sta.traffic_class, sta.head is not None, sta.waiting, armed))
-            if (sta.head is None and sta.waiting) or (armed and not sta.waiting) \
+            seen.add((sta.traffic_class, sta.head is not None, armed))
+            if (armed and sta.head is None) \
                     or (armed and sta.obeys_tone and b.medium.tone_heard):
                 broken.append((b.engine.now, sta.sta_id))
 
@@ -344,6 +369,6 @@ def test_only_a_contending_head_frame_waits_or_is_armed():
     assert b.events("preempted")
     assert "collided" in {e["outcome"] for e in b.events("tx_end")}
     assert {e["fast"] for e in b.events("tone_on")} == {True, False}
-    assert {("regular", True, True, True), ("regular", True, True, False),
-            ("regular", True, False, False), ("urllc", False, False, False),
-            ("urllc", True, True, True), ("urllc", True, False, False)} <= seen
+    assert {("regular", True, True), ("regular", True, False),
+            ("urllc", False, False), ("urllc", True, True),
+            ("urllc", True, False)} <= seen

@@ -13,8 +13,8 @@ class Sink(MetricsCollector):
         super().__init__(0, 10_000_000)
         self.log = []
 
-    def on_tx_start(self, t, tx, dur, busy_edge):
-        super().on_tx_start(t, tx, dur, busy_edge)
+    def on_tx_start(self, t, tx, busy_edge):
+        super().on_tx_start(t, tx, busy_edge)
         if busy_edge:
             self.log.append(("main-busy", t))
 

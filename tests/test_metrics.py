@@ -72,14 +72,14 @@ def test_zero_urllc_deliveries_leave_delay_fields_absent():
 
 def test_busy_fraction_is_clipped_union_over_window():
     col = MetricsCollector(warmup=1000, duration=11_000)
-    tx = Transmission(0, "r0", "regular-data", "r0:1", None)
-    col.on_tx_start(500, tx, 1000, True)
+    tx = Transmission(0, "r0", "regular-data", "r0:1", 1500, None)
+    col.on_tx_start(500, tx, True)
     col.on_tx_end(1500, tx, CLEAN, True)   # contributes [1000, 1500)
-    col.on_tx_start(2000, tx, 500, True)
-    col.on_tx_start(2200, tx, 300, False)  # no busy edge: the channel is busy
+    col.on_tx_start(2000, tx, True)
+    col.on_tx_start(2200, tx, False)  # no busy edge: the channel is busy
     col.on_tx_end(2500, tx, COLLIDED, False)  # no idle edge: still busy
     col.on_tx_end(3000, tx, COLLIDED, True)  # contributes [2000, 3000)
-    col.on_tx_start(10_500, tx, 2000, True)  # open at the end: [10500, 11000)
+    col.on_tx_start(10_500, tx, True)  # open at the end: [10500, 11000)
     s = col.finalize("legacy", 0, 1, 1, {"regular": 0, "urllc": 0})
     assert s.channel_busy_fraction == pytest.approx(2000 / 10_000)
     assert 0.0 <= s.channel_busy_fraction <= 1.0
@@ -90,8 +90,8 @@ def test_tx_end_counts_collided_data_frames_and_aborts():
     for ftype, outcome in (("regular-data", COLLIDED), ("urllc-data", COLLIDED),
                            ("ack", COLLIDED), ("regular-data", ABORTED),
                            ("urllc-data", CLEAN)):
-        tx = Transmission(0, "x", ftype, None if ftype == "ack" else "x:0", None)
-        col.on_tx_start(0, tx, 10, True)
+        tx = Transmission(0, "x", ftype, None if ftype == "ack" else "x:0", 10, None)
+        col.on_tx_start(0, tx, True)
         col.on_tx_end(10, tx, outcome, True)
     assert col.collided == {"regular": 1, "urllc": 1}  # a collided ack is not
     assert col.preempted == 1

@@ -1,6 +1,9 @@
+import contextlib
 import csv
 import io
 import json
+import os
+import signal
 from collections import Counter
 
 import pytest
@@ -71,14 +74,59 @@ def test_sweep_error_survives_pickling():
     assert "M=7" in str(back) and "boom" in str(back)
 
 
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body after `seconds`, so that a pool
+    waiting for a result that never comes fails its test, not the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_failed_run_in_worker_pool_reports_its_point():
     # a genuinely failing run surfaced through the spawn-based pool
     cfg = ScenarioConfig(n_regular=1, m_list=(1,), schemes=("bogus",),
                          seeds=(1, 2, 3, 4), sim_duration=1_000_000, warmup=0)
-    with pytest.raises(SweepError) as exc:
+    with time_limit(60), pytest.raises(SweepError) as exc:
         run_sweep(cfg, jobs=2)
     # every point fails; the first in grid order is the one reported
     assert exc.value.point == ("bogus", 1, 1)
+
+
+class ExitsWhenLoaded:
+    """Stands in for a point's RunConfig; the worker process that unpickles
+    it exits at once, as if it had been killed."""
+
+    def __init__(self, run_cfg):
+        self.scheme, self.m_urllc, self.seed = run_cfg.scheme, run_cfg.m_urllc, run_cfg.seed
+
+    def __reduce__(self):
+        return (os._exit, (3,))
+
+
+def test_a_dead_worker_fails_the_sweep_at_its_point(monkeypatch):
+    # the worker that takes the first point dies; the sweep reports that
+    # point instead of waiting for its result
+    run_config = ScenarioConfig.run_config
+
+    def first_point_kills_its_worker(cfg, scheme, m, seed, trace=False):
+        run_cfg = run_config(cfg, scheme, m, seed, trace=trace)
+        return ExitsWhenLoaded(run_cfg) if seed == 1 else run_cfg
+
+    monkeypatch.setattr(ScenarioConfig, "run_config", first_point_kills_its_worker)
+    cfg = ScenarioConfig(n_regular=1, m_list=(1,), schemes=("legacy",),
+                         seeds=(1, 2, 3), sim_duration=100_000, warmup=0)
+    with time_limit(60), pytest.raises(SweepError) as exc:
+        run_sweep(cfg, jobs=2)
+    assert exc.value.point == ("legacy", 1, 1)
+    assert "worker process died" in str(exc.value)
 
 
 def test_cli_maps_run_failure_to_exit_2(monkeypatch, tmp_path, capsys):

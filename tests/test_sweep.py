@@ -73,15 +73,13 @@ def test_parallel_execution_matches_serial():
 
 
 def test_pool_size_is_capped_by_points_and_cpus(monkeypatch):
-    import multiprocessing
-
     import btwifi.sweep as sweep_mod
 
     sizes = []
 
     class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -89,10 +87,10 @@ def test_pool_size_is_capped_by_points_and_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, tasks):
+        def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(multiprocessing.get_context("spawn"), "Pool", RecordingPool)
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", RecordingPool)
     two_points = ScenarioConfig(n_regular=1, m_list=(1,), schemes=("legacy",),
                                 seeds=(1, 2), sim_duration=100_000, warmup=0)
     monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 8)

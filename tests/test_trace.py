@@ -16,28 +16,28 @@ def dumps(**record):
     return json.dumps(record, separators=(",", ":"))
 
 
-def data_tx(tx_id, sta, frame_id, ftype="regular-data"):
-    return Transmission(tx_id, sta, ftype, frame_id, on_end=None)
+def data_tx(tx_id, sta, frame_id, end, ftype="regular-data"):
+    return Transmission(tx_id, sta, ftype, frame_id, end, on_end=None)
 
 
 def test_every_record_kind_matches_json_dumps():
     tr = Tracer(0, 10_000)
     frame = Frame("r3:17", 40)
     urllc_frame = Frame("u0:2", 90)
-    ack = Transmission(7, "ap", "ack", None, on_end=None)
+    ack = Transmission(7, "ap", "ack", None, 2160, on_end=None)
     cases = [
         (lambda: tr.on_arrival(40, "r3", "regular", frame),
          [dumps(t=40, kind="arrival", sta="r3", frame="r3:17", cls="regular")]),
-        (lambda: tr.on_tx_start(100, data_tx(5, "r3", "r3:17"), 2000, True),
+        (lambda: tr.on_tx_start(100, data_tx(5, "r3", "r3:17", 2100), True),
          [dumps(t=100, kind="tx_start", sta="r3", tx=5, ftype="regular-data",
                 dur=2000, frame="r3:17")]),
-        (lambda: tr.on_tx_start(2116, ack, 44, False),
+        (lambda: tr.on_tx_start(2116, ack, False),
          [dumps(t=2116, kind="tx_start", sta="ap", tx=7, ftype="ack", dur=44)]),
-        (lambda: tr.on_tx_end(2100, data_tx(5, "r3", "r3:17"), CLEAN, True),
+        (lambda: tr.on_tx_end(2100, data_tx(5, "r3", "r3:17", 2100), CLEAN, True),
          [dumps(t=2100, kind="tx_end", tx=5, outcome="clean")]),
-        (lambda: tr.on_tx_end(2100, data_tx(6, "r1", "r1:4"), COLLIDED, False),
+        (lambda: tr.on_tx_end(2100, data_tx(6, "r1", "r1:4", 2100), COLLIDED, False),
          [dumps(t=2100, kind="tx_end", tx=6, outcome="collided")]),
-        (lambda: tr.on_tx_end(150, data_tx(8, "r2", "r2:9"), ABORTED, False),
+        (lambda: tr.on_tx_end(150, data_tx(8, "r2", "r2:9", 2050), ABORTED, False),
          [dumps(t=150, kind="tx_end", tx=8, outcome="aborted"),
           dumps(t=150, kind="preempted", sta="r2", frame="r2:9")]),
         (lambda: tr.on_tone_on(90, "u0", True),

@@ -5,7 +5,7 @@ takes exactly 34 + 200 + 16 + 44 = 294 us from arrival to ack end.
 """
 
 from btwifi.mac import Station
-from btwifi.medium import AccessClass, Medium
+from btwifi.medium import AccessClass
 from conftest import Bench
 
 
@@ -139,7 +139,7 @@ def test_the_tone_arms_no_listener_that_it_freezes_in_the_same_microsecond(
                     wasted.append((t, sta.sta_id))
         return wrapper
 
-    for owner, name in ((Medium, "_start"), (AccessClass, "stop"),
+    for owner, name in ((AccessClass, "start"), (AccessClass, "stop"),
                         (Station, "on_main_idle"), (Station, "_freeze")):
         monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
     b = Bench()
@@ -198,7 +198,7 @@ def test_a_tone_clear_arms_every_waiting_listener_with_one_event():
     for sta in stations:
         b.enqueue_at(10, sta)
     b.run(999)
-    assert all(sta.waiting and sta.fire_at is None for sta in stations)
+    assert all(sta.head is not None and sta.fire_at is None for sta in stations)
     scheduled = []
     schedule = b.engine.schedule
     b.engine.schedule = lambda t, fn: scheduled.append(t) or schedule(t, fn)
