@@ -16,7 +16,8 @@ Backoff expiries are armed in two ways.  The medium counts the backoff
 of each traffic class behind one event, scheduled when the class starts
 counting at a main-channel idle edge or a heard tone clear, and cancelled
 when the class freezes before that instant; no event ever moves.  A
-station that starts waiting on an idle channel schedules its own event.
+station that starts waiting on an idle channel schedules its own event,
+which its class keeps (``AccessClass.alone``).
 """
 
 from __future__ import annotations

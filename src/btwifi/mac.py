@@ -11,18 +11,19 @@ Timing model (integer microseconds):
   (``medium.AccessClass``): at every idle edge, and at a heard tone clear
   for the stations that obey the tone, it arms all the class's waiting
   stations behind one event.  A station that starts waiting on an idle
-  channel arms itself with its own event (``Station.on_main_idle``): a
+  channel arms alone with its own event (``Station.on_main_idle``): a
   new frame, a retry, a re-contention after an abort.
 * When the channel turns busy at t the arm is dropped and the counter
   becomes the slots still left between t and the armed instant, rounded
   up: a partially elapsed slot is not spent (freeze/resume).  The medium
-  applies it to a class as one offset added to every counter
-  (``AccessClass.stop``), and a station armed on its own applies it to
-  itself (``Station._freeze``) and joins its class.  A busy edge landing
-  exactly on the boundary where the counter hits 0 does NOT cancel the
-  transmission: the preceding slot was idle, so the station transmits
-  and the overlap becomes a collision.  ``Station.counter`` and
-  ``Station.fire_at`` (None while not armed) read the result.
+  applies it to a class as one offset added to every counter, and to
+  each station of the class armed alone (``Station.on_main_busy``), which
+  then joins the class heap; ``AccessClass.stop`` does both.  A busy edge
+  landing exactly on the boundary where the counter hits 0 does NOT
+  cancel the transmission: the preceding slot was idle, so the station
+  transmits and the overlap becomes a collision.  A heard tone on that
+  boundary does stop it.  ``Station.counter`` and ``Station.fire_at``
+  (None while not armed) read the result.
 * After a clean data frame the responder acks SIFS later.  An ack
   timeout is scheduled only once the exchange has failed: at the end of a
   collided data frame, for ``end + SIFS + ack + guard``, and at the end of
@@ -112,8 +113,7 @@ class Station:
         self.retry_count = 0
         self._counter = 0  # the backoff counter while not in the class heap
         self._key: Optional[int] = None  # the class heap key while in it
-        self._at: Optional[SimTime] = None  # fire instant when armed alone or due
-        self._arm_ev: Optional[list] = None  # own event of an off-edge arm, to cancel
+        self._at: Optional[SimTime] = None  # fire instant while in ac.alone
         self._cur_tx: Optional[Transmission] = None
         medium.enroll(self)  # sets ac (the AccessClass) and index
 
@@ -157,44 +157,35 @@ class Station:
         else:
             self.on_main_idle(self.engine.now)
 
-    def _freeze(self, t: SimTime) -> None:
-        """Disarm at t and join the class heap; keep the slots still left,
-        a partial one included."""
-        self.engine.cancel(self._arm_ev)
-        self._arm_ev = None
-        del self.medium._armed[self]
+    def on_main_busy(self, t: SimTime) -> None:
+        """Freeze at t, a main busy edge or a heard tone: drop the arm in
+        ac.alone and join the class heap, keeping the slots still left, a
+        partial one included.  Only ``AccessClass.stop`` calls it, for the
+        stations its boundary rule stops; the name stays because the
+        benchmark's spans (bench/spans.py) wrap it."""
+        ac = self.ac
+        self.engine.cancel(ac.alone.pop(self))
         left = (self._at - t + self.phy.slot_time - 1) // self.phy.slot_time
         if left < self._counter:
             self._counter = left
         self._at = None
-        self.ac.push(self, self._counter)
-
-    def on_main_busy(self, t: SimTime) -> None:
-        # Only a station armed with its own event is told; the medium
-        # freezes its classes.  A boundary landing exactly at t stays armed
-        # and transmits into the collision.
-        if self._at > t:
-            self._freeze(t)
+        ac.push(self, self._counter)
 
     def on_main_idle(self, t: SimTime) -> None:
-        # The station started waiting on an idle channel: it arms with its
-        # own event unless a heard tone suspends it.  At an idle edge or a
-        # tone clear the medium arms its class instead.
+        # The station started waiting on an idle channel: it arms alone
+        # with its own event unless a heard tone suspends it.  At an idle
+        # edge or a tone clear the medium arms its class instead.
         if self.obeys_tone and self.medium.tone_heard:
             self.ac.push(self, self._counter)
             return
         self._at = t + self.aifs_us + self._counter * self.phy.slot_time
-        self._arm_ev = self.engine.schedule(self._at, self._fire_tx)
-        self.medium._armed[self] = None
+        self.ac.alone[self] = self.engine.schedule(self._at, self._fire_tx)
 
     # -- tone channel ---------------------------------------------------------
 
     def on_control_busy(self, t: SimTime) -> None:
-        if self._arm_ev is not None:
-            # Unlike a main-channel busy edge, a tone heard on the boundary
-            # itself stops the station before it starts transmitting.  The
-            # medium has already frozen the station's class.
-            self._freeze(t)
+        # The medium has already frozen the station's class and its arm
+        # (AccessClass.stop); what is left is the frame on air.
         if self._cur_tx is not None:
             self.medium.abort_transmission(self._cur_tx)
 
@@ -207,10 +198,9 @@ class Station:
 
     def _fire_tx(self) -> None:
         """The one way onto the air: an expired backoff or the fast path."""
-        if self._arm_ev is not None:
-            del self.medium._armed[self]
-            self._arm_ev = None
-        self._at = None
+        if self._at is not None:
+            del self.ac.alone[self]
+            self._at = None
         self._cur_tx = self.medium.begin_transmission(
             self.sta_id, f"{self.traffic_class}-data", self.params.data_airtime,
             self._on_data_end, frame_id=self.head.frame_id)

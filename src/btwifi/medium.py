@@ -51,20 +51,23 @@ class AccessClass:
     regular and the URLLC stations.
 
     Counters are kept lazily, as ns-3's ChannelAccessManager does.  heap
-    holds the waiting stations that are not armed on their own, keyed by
-    (counter + offset, construction index); one station's counter is its
-    key minus offset, so a freeze adds the slots that elapsed to offset
-    once for the whole class.  since is the instant the class started
-    counting (the main idle edge, or a heard tone clear for a class that
-    obeys the tone), None while it is frozen.  Stations join heap only
-    then, so while the class counts each is armed for fire_at(its key),
-    and ev is the one event at the earliest, at.  due holds the stations
-    that a busy edge found due at its own instant, behind due_ev, the
-    event that was ev: they transmit into the collision.  Both events are
-    only passed to Engine.cancel."""
+    holds the waiting stations that are not armed, keyed by (counter +
+    offset, construction index); one station's counter is its key minus
+    offset, so a freeze adds the slots that elapsed to offset once for the
+    whole class.  since is the instant the class started counting (the
+    main idle edge, or a heard tone clear for a class that obeys the
+    tone), None while it is frozen.  Stations join heap only then, so
+    while the class counts each is armed for fire_at(its key), and ev is
+    the one event at the earliest, at.
+
+    alone maps each station armed outside heap to its event; its _at is
+    set exactly while it is there.  One arms alone on its own event
+    (``Station.on_main_idle``); those a busy edge finds due at its instant
+    are held on the class's event, and due lists them for _fire.  Events
+    are only passed to Engine.cancel."""
 
     __slots__ = ("engine", "aifs", "slot", "obeys_tone", "size", "heap",
-                 "offset", "since", "ev", "at", "due", "due_ev")
+                 "offset", "since", "ev", "at", "alone", "due")
 
     def __init__(self, engine: Engine, aifs: SimTime, slot: SimTime,
                  obeys_tone: bool) -> None:
@@ -78,8 +81,8 @@ class AccessClass:
         self.since: SimTime | None = None
         self.ev: list | None = None
         self.at: SimTime = -1
+        self.alone: dict = {}
         self.due: list = []
-        self.due_ev: list | None = None
 
     def push(self, sta, counter: int) -> None:
         """sta waits, not armed, with counter slots left; the class is frozen."""
@@ -101,17 +104,22 @@ class AccessClass:
         """Freeze at t, a busy edge or (tone) a heard tone.
 
         Each counter keeps the slots still left, a partial one included:
-        the whole slots elapsed since since + AIFS come off them all.  At a
-        busy edge the stations due at t stay armed and transmit into the
-        collision; a heard tone stops them too, with counter 0.
+        the whole slots elapsed since since + AIFS come off every member
+        of heap at once, and a station armed alone keeps the slots left
+        before its own instant (``Station.on_main_busy``).  This is the one
+        place of the boundary rule: at a busy edge a station due at t stays
+        armed, because the slot before t was idle, and transmits into the
+        collision; a heard tone stops it too, with counter 0.
         """
+        alone = self.alone
         if self.since is not None:
             ev = self.ev
             if ev is not None:
                 if not tone and self.at == t:
-                    self.due_ev, self.due = ev, self._pop_due()
+                    self.due = self._pop_due()
                     for sta in self.due:
                         sta._at = t
+                        alone[sta] = ev
                 else:
                     self.engine.cancel(ev)
                 self.ev = None
@@ -119,12 +127,11 @@ class AccessClass:
             if k > 0:
                 self.offset += k
             self.since = None
-        if tone and self.due:
-            self.engine.cancel(self.due_ev)
-            for sta in self.due:
-                sta._at = None
-                self.push(sta, 0)
-            self.due, self.due_ev = [], None
+        if alone:
+            for sta in [sta for sta in alone if tone or sta._at > t]:
+                sta.on_main_busy(t)
+            if tone:
+                self.due = []
 
     def _pop_due(self) -> list:
         """Take the stations with the least counter off heap, in construction
@@ -141,12 +148,13 @@ class AccessClass:
         return due
 
     def _fire(self) -> None:
-        """Callback of both events: the held due stations if any, else those
-        ev was scheduled for.  due_ev sits at its busy edge's instant t and a
-        class restarting at t fires no earlier than t + AIFS >= t + 3, so
-        due_ev dispatches first whatever the order within one microsecond."""
+        """Callback of the class's events: the held one fires the due
+        stations, ev the least keys of heap.  A held event sits at its busy
+        edge's instant t and a class restarting at t fires no earlier than
+        t + AIFS >= t + 3, so it dispatches first whatever the order within
+        one microsecond."""
         if self.due:
-            due, self.due, self.due_ev = self.due, [], None
+            due, self.due = self.due, []
         else:
             self.ev = None
             due = self._pop_due()
@@ -175,13 +183,13 @@ class Medium:
     another in class order, so each ranks against the other events of its
     microsecond as the block of one event per station did, and stations
     due together start in construction order (a run builds every regular
-    station before the URLLC ones).  A busy edge at t, or a heard tone,
-    freezes each counting class with one offset update
-    (``AccessClass.stop``).  A station that starts waiting on an idle
-    channel it may count on (a new frame, a retry, a re-contention) arms
-    itself with its own event (``Station.on_main_idle``); a busy edge
-    freezes it into its class's heap (``Station.on_main_busy``).  _armed
-    holds those stations.
+    station before the URLLC ones).  A station that starts waiting on an
+    idle channel it may count on (a new frame, a retry, a re-contention)
+    arms alone with its own event (``Station.on_main_idle``).  A busy edge
+    at t, or a heard tone, freezes each class and the stations it holds
+    alone (``AccessClass.stop``).  The end of a clean data frame starts no
+    class: its ack begins SIFS later, before any AIFS (at least SIFS + 2
+    slots) has passed, so a class event would only be cancelled.
 
     tone_heard is the control level the listeners last heard: it changes
     at the heard instant, detection_delay after the first assertion or the
@@ -198,7 +206,6 @@ class Medium:
         self.classes: list[AccessClass] = []
         self._obeying: list[AccessClass] = []  # the classes that obey the tone
         self._deaf: list[AccessClass] = []  # and those that do not
-        self._armed: dict = {}  # stations armed with their own event
         self.tone_heard = False
         self._active: dict[int, Transmission] = {}
         self._next_tx_id = 0
@@ -231,9 +238,6 @@ class Medium:
         if was_idle:
             for ac in self.classes:
                 ac.stop(now)
-            if self._armed:
-                for sta_obj in list(self._armed):  # a freeze leaves _armed
-                    sta_obj.on_main_busy(now)
         return tx
 
     def abort_transmission(self, tx: Transmission) -> None:
@@ -249,7 +253,7 @@ class Medium:
         now = self.engine.now
         del self._active[tx.tx_id]
         self.collector.on_tx_end(now, tx, outcome, not self._active)
-        if not self._active:
+        if not self._active and (outcome != CLEAN or tx.frame_id is None):
             for ac in self._deaf if self.tone_heard else self.classes:
                 ac.start(now)
         tx.on_end(outcome)

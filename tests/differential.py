@@ -5,11 +5,17 @@
 
 It materialises REV's src/ into a temporary directory with
 ``git archive REV src | tar -x``, so it needs only the local history.
-Then it runs the same traced 1 s points under both trees, one subprocess
-per tree, and compares the sha256 of every summary row and every trace.
-The grid: legacy, and proposed at a tone detection delay d in
-{0, 3, 34, 43} us; M in {1, 5, 15, 40}; seeds 1 and 2; the default
-regular ack and a 20 us one.  That is 80 points per tree.
+Then it runs the same traced points under both trees, one subprocess per
+tree, and compares the sha256 of every summary row and every trace.  A
+point is a JSON dict: scheme, M, seed, and the ``ScenarioConfig`` fields
+it overrides (a dict of fields for phy, regular and urllc).  The points:
+
+* a grid of 1 s runs: legacy, and proposed at a tone detection delay d in
+  {0, 3, 34, 43} us; M in {1, 5, 15, 40}; seeds 1 and 2; the default
+  regular ack and a 20 us one.  That is 80 points.
+* 100 random small configurations from a seeded ``random.Random``, over
+  the ranges of ``test_properties.small_scenarios``: up to 4 regular and
+  3 URLLC stations, 5-50 ms, short frames, small windows and retry limits.
 
 On a difference it prints the point, both rows if they differ, the first
 pair of trace records that differ, and whether the two traces are equal
@@ -26,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -33,17 +40,54 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SCHEMES = (("legacy", 0), *(("proposed", d) for d in (0, 3, 34, 43)))
-GRID = [(scheme, d, m, seed, ack)
+
+
+def grid_point(scheme: str, d: int, m: int, seed: int, ack=None) -> dict:
+    """One 1 s grid point; ack None keeps the default regular ack."""
+    config = {"sim_duration": 1_000_000, "warmup": 100_000, "detection_delay": d}
+    if ack is not None:
+        config["regular"] = {"ack_airtime": ack}
+    return {"scheme": scheme, "m": m, "seed": seed, "config": config}
+
+
+def random_point(rng: random.Random) -> dict:
+    """One small valid configuration, drawn as test_properties.small_scenarios
+    draws it."""
+    phy = {"slot_time": rng.choice([1, 9]), "sifs": rng.choice([1, 16]),
+           "ack_timeout_guard": rng.choice([1, 9])}
+
+    def edca(data_airtimes, cw_mins, cw_max):
+        return {"aifsn": rng.randint(2, 4), "cw_min": rng.choice(cw_mins),
+                "cw_max": cw_max, "retry_limit": rng.randint(0, 7),
+                "data_airtime": rng.choice(data_airtimes),
+                "ack_airtime": rng.choice([1, 20, 44])}
+
+    n = rng.randint(0, 4)
+    m = rng.randint(0 if n else 1, 3)
+    duration = rng.randint(5_000, 50_000)
+    config = {"n_regular": n, "phy": phy,
+              "regular": edca([17, 60, 300, 2000], [0, 3, 15], 1023),
+              "urllc": edca([17, 40, 200], [0, 1, 3], 15),
+              "detection_delay": rng.choice([0, 3, 34, 43]),
+              "urllc_mean_interarrival": rng.choice([100, 1_000, 10_000]),
+              "sim_duration": duration, "warmup": rng.randint(0, duration // 2)}
+    return {"scheme": rng.choice(["legacy", "proposed"]), "m": m,
+            "seed": rng.randint(1, 10_000), "config": config}
+
+
+GRID = [grid_point(scheme, d, m, seed, ack)
         for scheme, d in SCHEMES
         for m in (1, 5, 15, 40)
         for seed in (1, 2)
-        for ack in (None, 20)]  # None: the default regular ack
+        for ack in (None, 20)]
+_rng = random.Random(2020)
+RANDOM = [random_point(_rng) for _ in range(100)]
+POINTS = GRID + RANDOM
 
 
 def label(point) -> str:
-    scheme, d, m, seed, ack = point
-    return (f"{scheme} d={d} M={m} seed={seed} "
-            f"ack={'default' if ack is None else f'{ack}us'}")
+    return (f"{point['scheme']} M={point['m']} seed={point['seed']} "
+            f"{json.dumps(point['config'])}")
 
 
 def materialise(rev: str, dest: Path) -> Path:
@@ -64,11 +108,12 @@ def run_point(point) -> tuple[str, list]:
     from btwifi.simulation import run_single
     from btwifi.sweep import summary_row
 
-    scheme, d, m, seed, ack = point
-    cfg = ScenarioConfig(sim_duration=1_000_000, warmup=100_000, detection_delay=d)
-    if ack is not None:
-        cfg = replace(cfg, regular=replace(cfg.regular, ack_airtime=ack))
-    res = run_single(cfg.run_config(scheme, m, seed, trace=True))
+    cfg = ScenarioConfig()
+    cfg = replace(cfg, **{key: replace(getattr(cfg, key), **value)
+                          if isinstance(value, dict) else value
+                          for key, value in point["config"].items()})
+    res = run_single(cfg.run_config(point["scheme"], point["m"], point["seed"],
+                                    trace=True))
     return summary_row(res.summary), res.trace_lines
 
 
@@ -148,7 +193,7 @@ def explain(base: Path, head: Path, point) -> list[str]:
     return out
 
 
-def compare(base: Path, head: Path, points=GRID) -> list[str]:
+def compare(base: Path, head: Path, points=POINTS) -> list[str]:
     """One report per point whose row or trace differs between the trees."""
     old, new = run_trees(base, head, points)
     reports = []
@@ -180,16 +225,17 @@ def main(argv: list[str]) -> int:
         reports = compare(base, REPO / "src")
     for report in reports:
         print(report)
+    counted = f"{len(POINTS)} points ({len(GRID)} grid, {len(RANDOM)} random)"
     if reports:
-        print(f"differential: {len(reports)} of {len(GRID)} points differ from {rev}")
+        print(f"differential: {len(reports)} of {counted} differ from {rev}")
         return 1
-    print(f"differential: {len(GRID)} points, every row and trace identical to {rev}")
+    print(f"differential: {counted}, every row and trace identical to {rev}")
     return 0
 
 
 # -- self-tests ----------------------------------------------------------------
 
-SMALL = [(scheme, d, 15, 1, None) for scheme, d in (("legacy", 0), ("proposed", 3))]
+SMALL = [grid_point(scheme, d, 15, 1) for scheme, d in (("legacy", 0), ("proposed", 3))]
 
 
 def test_head_against_itself_shows_no_difference(tmp_path):

@@ -266,8 +266,8 @@ def test_a_busy_edge_freezes_no_waiting_station_one_by_one(monkeypatch):
     # one update of their class, so its work does not grow with the number
     # of stations: no per-station freeze runs.
     freezes = []
-    freeze = Station._freeze
-    monkeypatch.setattr(Station, "_freeze",
+    freeze = Station.on_main_busy
+    monkeypatch.setattr(Station, "on_main_busy",
                         lambda sta, t: freezes.append(sta) or freeze(sta, t))
     b = Bench()
     stations = [b.add_regular(f"r{i}", draws=[i % 16]) for i in range(40)]
@@ -337,7 +337,9 @@ def test_a_held_due_station_starts_before_its_class_restarts_in_that_microsecond
 def test_only_a_contending_head_frame_waits_or_is_armed():
     # Station._contend is the only way into contention, so at any instant an
     # armed station has a head frame.  A station that obeys the tone is
-    # never armed while the tone is heard.
+    # never armed while the tone is heard.  A station is in its class's
+    # alone map exactly while its _at is set, and never there and in the
+    # class heap at once.
     b = Bench(duration=300_000)
     draw = random.Random(7)
     regular = [b.add_regular(f"r{i}", draws=[draw.randint(0, 15) for _ in range(400)])
@@ -355,9 +357,12 @@ def test_only_a_contending_head_frame_waits_or_is_armed():
         heard.append(b.medium.tone_heard)
         for sta in b.stations.values():
             armed = sta.fire_at is not None
+            alone = sta in sta.ac.alone
             seen.add((sta.traffic_class, sta.head is not None, armed))
             if (armed and sta.head is None) \
-                    or (armed and sta.obeys_tone and b.medium.tone_heard):
+                    or (armed and sta.obeys_tone and b.medium.tone_heard) \
+                    or alone != (sta._at is not None) \
+                    or (alone and any(entry[2] is sta for entry in sta.ac.heap)):
                 broken.append((b.engine.now, sta.sta_id))
 
     for t in range(997, b.duration, 997):

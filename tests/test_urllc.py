@@ -4,6 +4,8 @@ URLLC AIFS is 34 (aifsn 2), data 200, ack 44, so an uncontended service
 takes exactly 34 + 200 + 16 + 44 = 294 us from arrival to ack end.
 """
 
+import pytest
+
 from btwifi.mac import Station
 from btwifi.medium import AccessClass
 from conftest import Bench
@@ -123,7 +125,8 @@ def test_the_tone_arms_no_listener_that_it_freezes_in_the_same_microsecond(
     # an arm made and frozen in one microsecond would be wasted work.
     # Every arm and every freeze goes through one of four functions: the
     # medium arms whole classes and a class freezes all its waiting
-    # stations, a station armed on its own arms or freezes itself.
+    # stations, a station arms itself alone, and a class freezes such a
+    # station through Station.on_main_busy.
     armed_at, wasted = {}, []
     stations = []
 
@@ -140,7 +143,7 @@ def test_the_tone_arms_no_listener_that_it_freezes_in_the_same_microsecond(
         return wrapper
 
     for owner, name in ((AccessClass, "start"), (AccessClass, "stop"),
-                        (Station, "on_main_idle"), (Station, "_freeze")):
+                        (Station, "on_main_idle"), (Station, "on_main_busy")):
         monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
     b = Bench()
     stations += [b.add_regular("r0", draws=[0, 3]),
@@ -228,6 +231,42 @@ def test_a_tone_heard_after_a_busy_edge_on_the_zero_boundary_stops_the_start():
     b.run(5000)
     starts = [(e["sta"], e["t"]) for e in b.events("tx_start") if e["sta"] != "ap"]
     assert starts == [("x", 0), ("y", 1043), ("r0", 3043)]
+
+
+@pytest.mark.parametrize("tone", [False, True], ids=["busy-edge", "busy-edge+tone"])
+@pytest.mark.parametrize("arm", ["alone", "class"])
+def test_the_boundary_rule_holds_for_both_arm_kinds(arm, tone):
+    # A foreign w holds [0, 100).  r0 (draw 5) gets its frame at 10, so the
+    # idle edge at 100 arms it with its class, or at 100 on the idle
+    # channel, so it arms alone; either way for 100 + 43 + 45 = 188.  A
+    # foreign x begins there first: r0 transmits into the collision.  A
+    # tone raised later in that microsecond, before r0's event, stops it
+    # instead, with counter 0, so it starts at the clear: 1000 + 43.
+    b = Bench()
+    r0 = b.add_regular("r0", draws=[5])
+    b.medium.begin_transmission("w", "regular-data", 100, lambda o: None)
+    b.engine.schedule(188, lambda: b.medium.begin_transmission(
+        "x", "regular-data", 100, lambda o: None))
+    if tone:
+        b.engine.schedule(188, lambda: b.medium.busy_tone_set("z", True))
+        b.engine.schedule(1000, lambda: b.medium.busy_tone_set("z", False))
+    b.enqueue_at(10 if arm == "class" else 100, r0)
+    b.run(187)
+    assert (r0 in r0.ac.alone) == (arm == "alone") and r0.fire_at == 188
+    b.run(188)
+    starts = [(e["sta"], e["t"]) for e in b.events("tx_start")]
+    if not tone:
+        assert starts == [("w", 0), ("x", 188), ("r0", 188)]
+        b.run(3000)
+        assert [e["outcome"] for e in b.events("tx_end")[1:3]] == \
+            ["collided", "collided"]
+        return
+    assert starts == [("w", 0), ("x", 188)]
+    assert r0.fire_at is None and r0.counter == 0
+    assert r0 not in r0.ac.alone and r0.ac.due == []
+    b.run(5000)
+    starts = [(e["sta"], e["t"]) for e in b.events("tx_start") if e["sta"] != "ap"]
+    assert starts == [("w", 0), ("x", 188), ("r0", 1043)]
 
 
 def test_tone_onset_on_the_transmit_boundary_cancels_the_start():
