@@ -16,16 +16,22 @@ run the same grid point twice.  So is setting a key twice in one section
 Sections and keys are listed in SCHEMA below; an empty file yields the
 full default scenario.  A SCHEMA row's parser checks its key's own range;
 validate's cross-value rules run once every line is valid.
+
+This module owns every configuration name: the SCHEMES, the scenario
+(ScenarioConfig) and one grid point of it (RunConfig, the scenario plus a
+scheme, M, seed and trace flag), which simulation.run_single runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .mac import EdcaParams, PhyConstants
 from .metrics import CLASSES
-from .simulation import SCHEMES, RunConfig
+
+SCHEMES = ("legacy", "proposed")  # plain EDCA; EDCA with the busy tone
+LEGACY, PROPOSED = SCHEMES
 
 # One regular data frame may occupy the air for at most ~5 ms.
 MAX_REGULAR_AIRTIME_US = 5484
@@ -50,13 +56,19 @@ class ScenarioConfig:
 
     def run_config(self, scheme: str, m: int, seed: int,
                    trace: bool = False) -> RunConfig:
-        return RunConfig(
-            scheme=scheme, n_regular=self.n_regular, m_urllc=m, seed=seed,
-            sim_duration=self.sim_duration, warmup=self.warmup,
-            phy=self.phy, regular=self.regular, urllc=self.urllc,
-            detection_delay=self.detection_delay,
-            urllc_mean_interarrival=self.urllc_mean_interarrival,
-            trace=trace)
+        return RunConfig(scheme=scheme, m_urllc=m, seed=seed, trace=trace,
+                         **{f.name: getattr(self, f.name)
+                            for f in fields(ScenarioConfig)})
+
+
+@dataclass(slots=True, kw_only=True)
+class RunConfig(ScenarioConfig):
+    """One grid point: its scenario plus the scheme, M and seed it runs,
+    traced or not."""
+    scheme: str
+    m_urllc: int
+    seed: int
+    trace: bool
 
 
 class ConfigError(ValueError):

@@ -12,12 +12,9 @@ depend on no other tie.  With the busy tone the order still decides two
 ties within a microsecond: a heard tone edge against a no-backoff launch,
 and a heard tone edge against a regular backoff expiry.
 
-Backoff expiries are armed in two ways.  The medium counts the backoff
-of each traffic class behind one event, scheduled when the class starts
-counting at a main-channel idle edge or a heard tone clear, and cancelled
-when the class freezes before that instant; no event ever moves.  A
-station that starts waiting on an idle channel schedules its own event,
-which its class keeps (``AccessClass.alone``).
+A cancelled event never fires, and no event ever moves: a new instant is
+a new event.  How the MAC arms its backoff expiries with them is stated
+in ``medium.AccessClass``.
 """
 
 from __future__ import annotations

@@ -62,6 +62,7 @@ from typing import Optional
 
 from .engine import ContractViolation, RngStream, SimTime
 from .medium import CLEAN, COLLIDED, Medium, Transmission
+from .metrics import ACK_FTYPE, DATA_FTYPE
 
 @dataclass(frozen=True, slots=True)
 class PhyConstants:
@@ -202,7 +203,7 @@ class Station:
             del self.ac.alone[self]
             self._at = None
         self._cur_tx = self.medium.begin_transmission(
-            self.sta_id, f"{self.traffic_class}-data", self.params.data_airtime,
+            self.sta_id, DATA_FTYPE[self.traffic_class], self.params.data_airtime,
             self._on_data_end, frame_id=self.head.frame_id)
 
     def _on_data_end(self, outcome: str) -> None:
@@ -223,7 +224,7 @@ class Station:
         # The responder turns the frame around SIFS after a clean reception.
         # It is not a contender, so it is modelled as the medium-level "ap"
         # transmitter rather than a full station.
-        self.medium.begin_transmission("ap", "ack", self.params.ack_airtime,
+        self.medium.begin_transmission("ap", ACK_FTYPE, self.params.ack_airtime,
                                        self._on_ack_end)
 
     def _on_ack_end(self, outcome: str) -> None:

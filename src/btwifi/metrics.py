@@ -27,7 +27,9 @@ from .engine import ContractViolation, SimTime
 from .medium import ABORTED, COLLIDED
 
 CLASSES = ("regular", "urllc")  # the traffic classes, each counted apart
-_DATA_CLASS = {f"{cls}-data": cls for cls in CLASSES}  # data ftype -> class
+DATA_FTYPE = {cls: f"{cls}-data" for cls in CLASSES}  # a class's data frame type
+DATA_CLASS = {ftype: cls for cls, ftype in DATA_FTYPE.items()}  # its inverse
+ACK_FTYPE = "ack"  # the responder's ack, for a data frame of either class
 
 
 def nearest_rank(sorted_samples: list, pct: int):
@@ -111,8 +113,8 @@ class MetricsCollector:
     def on_tx_end(self, t: SimTime, tx, outcome: str, idle_edge: bool) -> None:
         if outcome == ABORTED:
             self.preempted += 1
-        elif outcome == COLLIDED and tx.ftype in _DATA_CLASS:  # not an ack
-            self.collided[_DATA_CLASS[tx.ftype]] += 1
+        elif outcome == COLLIDED and tx.ftype in DATA_CLASS:  # not an ack
+            self.collided[DATA_CLASS[tx.ftype]] += 1
         if idle_edge:
             self._close_busy(t)
 

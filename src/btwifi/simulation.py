@@ -1,8 +1,9 @@
 """Assembly and execution of one simulation run.
 
 A run is fully self-contained: its engine, medium, stations and RNG
-streams are built fresh from (config, scheme, M, seed), so independent
-runs can execute in any order or in parallel without affecting each other.
+streams are built fresh from a config.RunConfig (the scenario plus scheme,
+M and seed), so independent runs can execute in any order or in parallel
+without affecting each other.
 """
 
 from __future__ import annotations
@@ -10,32 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import Engine, RngStream, SimTime
-from .mac import EdcaParams, PhyConstants, Station
+from .config import PROPOSED, SCHEMES, RunConfig
+from .engine import Engine, RngStream
+from .mac import Station
 from .medium import Medium
 from .metrics import CLASSES, MetricsCollector, RunSummary
 from .trace import Tracer
 from .traffic import ExpAfterSuccessSource, SaturatedSource
 from .urllc import UrllcStation
-
-SCHEMES = ("legacy", "proposed")  # plain EDCA; EDCA with the busy tone
-LEGACY, PROPOSED = SCHEMES
-
-
-@dataclass(slots=True)
-class RunConfig:
-    scheme: str
-    n_regular: int
-    m_urllc: int
-    seed: int
-    sim_duration: SimTime
-    warmup: SimTime
-    phy: PhyConstants
-    regular: EdcaParams
-    urllc: EdcaParams
-    detection_delay: SimTime
-    urllc_mean_interarrival: SimTime
-    trace: bool
 
 
 @dataclass(slots=True)

@@ -79,6 +79,14 @@ def trace_paths(cfg: ScenarioConfig, trace_dir: Optional[str]) -> list:
             for scheme, m, seed in expand_grid(cfg)]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which may be fewer than the host's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
               trace_dir: Optional[str] = None) -> list[RunSummary]:
     if trace_dir is not None:
@@ -87,7 +95,7 @@ def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
              for (scheme, m, seed), path in zip(expand_grid(cfg),
                                                 trace_paths(cfg, trace_dir))]
     # More workers than points or CPUs would only add interpreter start-ups.
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), _usable_cpus())
     if workers <= 1:
         return [_execute_point(t) for t in tasks]
     # An executor, not multiprocessing.Pool: when a worker dies, the pool
@@ -111,13 +119,21 @@ def write_outputs(cfg: ScenarioConfig, out: str, jobs: int = 1,
                   curves_dir: Optional[str] = None) -> list[RunSummary]:
     """Run the sweep and write its summary CSV, trace and curve files.
 
-    If anything fails, every file it would write is removed before the
-    exception propagates, so no partial or stale output is left behind.
+    Two outputs that resolve to one file raise OSError before any run, and
+    nothing is written or removed.  If anything fails later, every file it
+    would write is removed before the exception propagates, so no partial
+    or stale output is left behind.
     """
     paths = [out, *(p for p in trace_paths(cfg, trace_dir) if p is not None)]
     if curves_dir is not None:
         paths += [curve_path(curves_dir, name, scheme)
                   for scheme in cfg.schemes for name in CURVES]
+    seen = set()
+    for path in paths:
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise OSError(f"{path} is named by two outputs; one would overwrite the other")
+        seen.add(resolved)
     try:
         summaries = run_sweep(cfg, jobs, trace_dir)
         write_summary_csv(summaries, out)

@@ -41,14 +41,14 @@ from typing import Iterable, Optional
 
 from .config import ConfigError, read_scenario
 from .medium import ABORTED, CLEAN, COLLIDED
-from .metrics import CLASSES, summarize
+from .metrics import ACK_FTYPE, CLASSES, DATA_CLASS, DATA_FTYPE, summarize
 from .sweep import summary_row
 
 
 # Each allowed value maps to itself, so one lookup both checks a value and
 # returns a shared copy of it: json.loads makes a new string per record, and
 # one kept per transmission would double its size.
-_FTYPES = {f: f for f in [f"{cls}-data" for cls in CLASSES] + ["ack"]}
+_FTYPES = {f: f for f in (*DATA_FTYPE.values(), ACK_FTYPE)}
 _OUTCOMES = {o: o for o in (CLEAN, COLLIDED, ABORTED)}
 _CLASSES = {cls: cls for cls in CLASSES}
 
@@ -291,7 +291,7 @@ def scan_trace(lines: Iterable[str], duration: int, warmup: int,
         if tx.outcome is None:
             continue  # in flight at sim end; no outcome to check
         if tx.outcome == ABORTED:
-            if tx.ftype != "regular-data":
+            if tx.ftype != DATA_FTYPE["regular"]:
                 problems.append(f"tx {tx.tx}: {tx.ftype} must never be preempted")
             if not tx.start <= tx.end <= tx.scheduled_end:
                 problems.append(f"tx {tx.tx}: abort time outside its airtime")
@@ -308,7 +308,7 @@ def scan_trace(lines: Iterable[str], duration: int, warmup: int,
     spans = tone_spans(trace, duration)
     first = 0  # spans before it ended before the current tx started
     for tx in txs:
-        if tx.ftype != "regular-data":
+        if tx.ftype != DATA_FTYPE["regular"]:
             continue
         while first < len(spans) and spans[first][1] <= tx.start:
             first += 1
@@ -355,8 +355,8 @@ def replay_csv_row(lines: Iterable[str], scheme: str, m: int, n: int, seed: int,
     txs = collect_transmissions(trace, duration)
     collided = dict.fromkeys(CLASSES, 0)
     for tx in txs:
-        if tx.outcome == COLLIDED and tx.ftype != "ack":
-            collided[tx.ftype.split("-", 1)[0]] += 1
+        if tx.outcome == COLLIDED and tx.ftype in DATA_CLASS:  # not an ack
+            collided[DATA_CLASS[tx.ftype]] += 1
     busy = union_measure([(tx.start, tx.end) for tx in txs], warmup, duration)
     return summary_row(summarize(scheme, m, n, seed, duration, warmup, delays,
                                  delivered, trace.dropped, collided,

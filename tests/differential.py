@@ -14,8 +14,9 @@ it overrides (a dict of fields for phy, regular and urllc).  The points:
   {0, 3, 34, 43} us; M in {1, 5, 15, 40}; seeds 1 and 2; the default
   regular ack and a 20 us one.  That is 80 points.
 * 100 random small configurations from a seeded ``random.Random``, over
-  the ranges of ``test_properties.small_scenarios``: up to 4 regular and
-  3 URLLC stations, 5-50 ms, short frames, small windows and retry limits.
+  ``SMALL_RANGES``, which ``test_properties.small_scenarios`` draws from
+  too: up to 4 regular and 3 URLLC stations, 5-50 ms, short frames, small
+  windows and retry limits.
 
 On a difference it prints the point, both rows if they differ, the first
 pair of trace records that differ, and whether the two traces are equal
@@ -36,6 +37,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -50,29 +52,54 @@ def grid_point(scheme: str, d: int, m: int, seed: int, ack=None) -> dict:
     return {"scheme": scheme, "m": m, "seed": seed, "config": config}
 
 
-def random_point(rng: random.Random) -> dict:
-    """One small valid configuration, drawn as test_properties.small_scenarios
-    draws it."""
-    phy = {"slot_time": rng.choice([1, 9]), "sifs": rng.choice([1, 16]),
-           "ack_timeout_guard": rng.choice([1, 9])}
+# The ranges of a random small configuration, shared with
+# test_properties.small_scenarios: a list is drawn from, a pair (lo, hi) is
+# an integer range with both ends included.  M starts at 1 when there is
+# no regular station, and the warm-up is at most half the duration.
+SMALL_RANGES = {
+    "slot_time": [1, 9], "sifs": [1, 16], "ack_timeout_guard": [1, 9],
+    "n_regular": (0, 4), "m": (0, 3), "sim_duration": (5_000, 50_000),
+    "aifsn": (2, 4), "retry_limit": (0, 7), "ack_airtime": [1, 20, 44],
+    "regular": {"data_airtime": [17, 60, 300, 2000], "cw_min": [0, 3, 15],
+                "cw_max": 1023},
+    "urllc": {"data_airtime": [17, 40, 200], "cw_min": [0, 1, 3], "cw_max": 15},
+    "detection_delay": [0, 3, 34, 43],
+    "urllc_mean_interarrival": [100, 1_000, 10_000],
+    "scheme": ["legacy", "proposed"], "seed": (1, 10_000),
+}
 
-    def edca(data_airtimes, cw_mins, cw_max):
-        return {"aifsn": rng.randint(2, 4), "cw_min": rng.choice(cw_mins),
-                "cw_max": cw_max, "retry_limit": rng.randint(0, 7),
-                "data_airtime": rng.choice(data_airtimes),
-                "ack_airtime": rng.choice([1, 20, 44])}
 
-    n = rng.randint(0, 4)
-    m = rng.randint(0 if n else 1, 3)
-    duration = rng.randint(5_000, 50_000)
-    config = {"n_regular": n, "phy": phy,
-              "regular": edca([17, 60, 300, 2000], [0, 3, 15], 1023),
-              "urllc": edca([17, 40, 200], [0, 1, 3], 15),
-              "detection_delay": rng.choice([0, 3, 34, 43]),
-              "urllc_mean_interarrival": rng.choice([100, 1_000, 10_000]),
-              "sim_duration": duration, "warmup": rng.randint(0, duration // 2)}
-    return {"scheme": rng.choice(["legacy", "proposed"]), "m": m,
-            "seed": rng.randint(1, 10_000), "config": config}
+def draw_small(choice, integer) -> dict:
+    """One small valid point from SMALL_RANGES, each value drawn with
+    choice(list) or integer(lo, hi), always in the same order."""
+    r = SMALL_RANGES
+    phy = {key: choice(r[key]) for key in ("slot_time", "sifs", "ack_timeout_guard")}
+
+    def edca(cls):
+        return {"aifsn": integer(*r["aifsn"]), "cw_min": choice(r[cls]["cw_min"]),
+                "cw_max": r[cls]["cw_max"], "retry_limit": integer(*r["retry_limit"]),
+                "data_airtime": choice(r[cls]["data_airtime"]),
+                "ack_airtime": choice(r["ack_airtime"])}
+
+    n = integer(*r["n_regular"])
+    lo, hi = r["m"]
+    m = integer(lo if n else 1, hi)
+    duration = integer(*r["sim_duration"])
+    config = {"n_regular": n, "phy": phy, "regular": edca("regular"),
+              "urllc": edca("urllc"),
+              "detection_delay": choice(r["detection_delay"]),
+              "urllc_mean_interarrival": choice(r["urllc_mean_interarrival"]),
+              "sim_duration": duration, "warmup": integer(0, duration // 2)}
+    return {"scheme": choice(r["scheme"]), "m": m,
+            "seed": integer(*r["seed"]), "config": config}
+
+
+def scenario(base, config: dict):
+    """base (a ScenarioConfig) with a point's overrides; a dict value
+    overrides fields of that group."""
+    return replace(base, **{key: replace(getattr(base, key), **value)
+                            if isinstance(value, dict) else value
+                            for key, value in config.items()})
 
 
 GRID = [grid_point(scheme, d, m, seed, ack)
@@ -81,7 +108,7 @@ GRID = [grid_point(scheme, d, m, seed, ack)
         for seed in (1, 2)
         for ack in (None, 20)]
 _rng = random.Random(2020)
-RANDOM = [random_point(_rng) for _ in range(100)]
+RANDOM = [draw_small(_rng.choice, _rng.randint) for _ in range(100)]
 POINTS = GRID + RANDOM
 
 
@@ -102,16 +129,11 @@ def materialise(rev: str, dest: Path) -> Path:
 
 def run_point(point) -> tuple[str, list]:
     """The summary row and trace lines of one point, in this process's tree."""
-    from dataclasses import replace
-
     from btwifi.config import ScenarioConfig
     from btwifi.simulation import run_single
     from btwifi.sweep import summary_row
 
-    cfg = ScenarioConfig()
-    cfg = replace(cfg, **{key: replace(getattr(cfg, key), **value)
-                          if isinstance(value, dict) else value
-                          for key, value in point["config"].items()})
+    cfg = scenario(ScenarioConfig(), point["config"])
     res = run_single(cfg.run_config(point["scheme"], point["m"], point["seed"],
                                     trace=True))
     return summary_row(res.summary), res.trace_lines

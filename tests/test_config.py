@@ -1,9 +1,12 @@
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from btwifi.cli import main
-from btwifi.config import ConfigError, ScenarioConfig, parse_config, read_scenario
+from btwifi.config import (ConfigError, RunConfig, ScenarioConfig, parse_config,
+                           read_scenario)
+from btwifi.mac import EdcaParams, PhyConstants
 
 
 def test_empty_file_yields_full_defaults():
@@ -210,3 +213,23 @@ def test_run_config_carries_parameters_through():
     assert rc.regular.data_airtime == 2000
     assert rc.urllc.aifsn == 2
     assert rc.phy.sifs == 16
+
+
+def test_run_config_is_its_scenario_plus_one_grid_point():
+    # every scenario field differs from its default, so a field left out or
+    # filled from another would show
+    cfg = ScenarioConfig(
+        n_regular=3, m_list=(2, 4), schemes=("proposed",), seeds=(7, 8),
+        sim_duration=2_000_000, warmup=50_000, detection_delay=5,
+        urllc_mean_interarrival=3_000,
+        phy=PhyConstants(slot_time=4, sifs=10, ack_timeout_guard=6),
+        regular=EdcaParams(4, 7, 511, 5, 1500, 30, 64_000),
+        urllc=EdcaParams(3, 1, 7, 2, 150, 20, 800))
+    defaults = ScenarioConfig()
+    assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+               for f in fields(ScenarioConfig))
+    rc = cfg.run_config("legacy", 9, 42, trace=True)
+    assert type(rc) is RunConfig
+    for f in fields(ScenarioConfig):
+        assert getattr(rc, f.name) == getattr(cfg, f.name), f.name
+    assert (rc.scheme, rc.m_urllc, rc.seed, rc.trace) == ("legacy", 9, 42, True)

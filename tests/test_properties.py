@@ -12,15 +12,14 @@ every run, so a failure always reproduces.
 
 import json
 from collections import Counter
-from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from btwifi.config import ScenarioConfig
-from btwifi.mac import PhyConstants
 from btwifi.simulation import run_single
 from btwifi.sweep import summary_row
 from btwifi.tracecheck import replay_csv_row, scan_trace
+from differential import draw_small, scenario
 from test_ties import assert_order_free
 
 DEFAULTS = ScenarioConfig()
@@ -28,31 +27,12 @@ DEFAULTS = ScenarioConfig()
 
 @st.composite
 def small_scenarios(draw):
-    """(config, scheme, M, seed) of one small valid run."""
-    phy = PhyConstants(slot_time=draw(st.sampled_from([1, 9])),
-                       sifs=draw(st.sampled_from([1, 16])),
-                       ack_timeout_guard=draw(st.sampled_from([1, 9])))
-
-    def edca(params, data_airtimes, cw_mins, cw_max):
-        return replace(params,
-                       aifsn=draw(st.integers(2, 4)),
-                       cw_min=draw(st.sampled_from(cw_mins)), cw_max=cw_max,
-                       retry_limit=draw(st.integers(0, 7)),
-                       data_airtime=draw(st.sampled_from(data_airtimes)),
-                       ack_airtime=draw(st.sampled_from([1, 20, 44])))
-
-    n = draw(st.integers(0, 4))
-    m = draw(st.integers(0 if n else 1, 3))
-    duration = draw(st.integers(5_000, 50_000))
-    cfg = replace(
-        DEFAULTS, n_regular=n, phy=phy,
-        regular=edca(DEFAULTS.regular, [17, 60, 300, 2000], [0, 3, 15], 1023),
-        urllc=edca(DEFAULTS.urllc, [17, 40, 200], [0, 1, 3], 15),
-        detection_delay=draw(st.sampled_from([0, 3, 34, 43])),
-        urllc_mean_interarrival=draw(st.sampled_from([100, 1_000, 10_000])),
-        sim_duration=duration, warmup=draw(st.integers(0, duration // 2)))
-    scheme = draw(st.sampled_from(["legacy", "proposed"]))
-    return cfg, scheme, m, draw(st.integers(1, 10_000))
+    """(config, scheme, M, seed) of one small valid run, over the ranges
+    that differential.SMALL_RANGES gives its random points."""
+    point = draw_small(lambda values: draw(st.sampled_from(values)),
+                       lambda lo, hi: draw(st.integers(lo, hi)))
+    return (scenario(DEFAULTS, point["config"]), point["scheme"], point["m"],
+            point["seed"])
 
 
 def assert_books_balance(records, summary, cfg, m):

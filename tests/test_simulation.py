@@ -121,6 +121,8 @@ def test_a_dead_worker_fails_the_sweep_at_its_point(monkeypatch):
         return ExitsWhenLoaded(run_cfg) if seed == 1 else run_cfg
 
     monkeypatch.setattr(ScenarioConfig, "run_config", first_point_kills_its_worker)
+    # a pool of two even where this process may use only one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = ScenarioConfig(n_regular=1, m_list=(1,), schemes=("legacy",),
                          seeds=(1, 2, 3), sim_duration=100_000, warmup=0)
     with time_limit(60), pytest.raises(SweepError) as exc:

@@ -93,9 +93,12 @@ def test_pool_size_is_capped_by_points_and_cpus(monkeypatch):
     monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", RecordingPool)
     two_points = ScenarioConfig(n_regular=1, m_list=(1,), schemes=("legacy",),
                                 seeds=(1, 2), sim_duration=100_000, warmup=0)
-    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 8)
+    # the CPUs this process may use, not the host's: taskset can narrow them
+    monkeypatch.setattr(sweep_mod.os, "sched_getaffinity",
+                        lambda pid: set(range(8)), raising=False)
     run_sweep(two_points, jobs=3)
-    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep_mod.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
     run_sweep(replace(two_points, seeds=(1, 2, 3, 4)), jobs=3)
     assert sizes == [2, 2]
 
@@ -258,6 +261,27 @@ def test_cli_failed_output_write_leaves_no_outputs(case, tmp_path, capsys):
     if case == "second curve file blocked":  # the delay curve was written
         assert [p.name for p in curves.iterdir()] == \
             ["regular_throughput_bps_proposed.dat"]
+
+
+@pytest.mark.parametrize("flag, name", [
+    ("--trace-dir", trace_filename("proposed", 2, 1, 1)),
+    ("--curves-dir", "urllc_delay_mean_us_proposed.dat")])
+def test_cli_two_outputs_on_one_file_exit_1_untouched(flag, name, tmp_path, capsys):
+    # --out names a file that a trace or curve file would overwrite: no run
+    # starts, and the file already there is neither rewritten nor removed.
+    cfg_file = tmp_path / "scenario.cfg"
+    write_quick_cfg(cfg_file)
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    (outputs / name).write_text("kept\n")
+    # a path that differs in spelling but resolves to the same file
+    out = outputs / ".." / "outputs" / name
+    assert main(["--config", str(cfg_file), "--out", str(out),
+                 flag, str(outputs)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulate: cannot write output: ") and name in err
+    assert [p.name for p in outputs.iterdir()] == [name]
+    assert (outputs / name).read_text() == "kept\n"
 
 
 def test_cli_run_failure_leaves_no_traces(monkeypatch, tmp_path):
