@@ -98,12 +98,25 @@ class RngStream:
 
     def __init__(self, seed: int, stream_id: str) -> None:
         self._rng = random.Random(f"{seed}/{stream_id}")
+        self._getrandbits = self._rng.getrandbits
 
     def uniform_int(self, lo: int, hi: int) -> int:
-        """Uniform integer on [lo, hi], inclusive."""
+        """Uniform integer on [lo, hi], inclusive.
+
+        Draws as ``random.Random.randint(lo, hi)`` does, to the same value
+        and generator state: its getrandbits rejection loop, inlined,
+        because every backoff draw comes here and randint would add three
+        stdlib frames to each.  ``tests/test_engine.py`` holds the two
+        equal on the running interpreter.
+        """
         if lo > hi:
             raise ContractViolation(f"uniform_int: lo={lo} > hi={hi}")
-        return self._rng.randint(lo, hi)
+        n = hi - lo + 1
+        k = n.bit_length()
+        r = self._getrandbits(k)
+        while r >= n:
+            r = self._getrandbits(k)
+        return lo + r
 
     def exponential(self, mean: SimTime) -> SimTime:
         """Exponential duration with the given mean, rounded to >= 1 tick."""

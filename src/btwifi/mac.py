@@ -110,6 +110,10 @@ class Station:
         self.source = None  # set after construction
 
         self.aifs_us = aifs(params, phy)
+        # the contention window at each retry count, and the data frame type
+        self._cw = tuple(min((params.cw_min + 1) * (1 << retry) - 1, params.cw_max)
+                         for retry in range(params.retry_limit + 1))
+        self._data_ftype = DATA_FTYPE[traffic_class]
         self.head: Optional[Frame] = None
         self.retry_count = 0
         self._counter = 0  # the backoff counter while not in the class heap
@@ -149,10 +153,10 @@ class Station:
     # -- backoff / deferral --------------------------------------------------
 
     def _contend(self) -> None:
-        """The one way into contention: draw, then wait, armed if allowed."""
-        p = self.params
-        cw = min((p.cw_min + 1) * (1 << self.retry_count) - 1, p.cw_max)
-        self._counter = self.rng.uniform_int(0, cw)
+        """The one way into contention: draw on [0, _cw[retry_count]], then
+        wait, armed if allowed.  retry_count never exceeds the retry limit
+        here: a frame past it is dropped instead."""
+        self._counter = self.rng.uniform_int(0, self._cw[self.retry_count])
         if self.medium.is_main_busy():
             self.ac.push(self, self._counter)
         else:
@@ -203,7 +207,7 @@ class Station:
             del self.ac.alone[self]
             self._at = None
         self._cur_tx = self.medium.begin_transmission(
-            self.sta_id, DATA_FTYPE[self.traffic_class], self.params.data_airtime,
+            self.sta_id, self._data_ftype, self.params.data_airtime,
             self._on_data_end, frame_id=self.head.frame_id)
 
     def _on_data_end(self, outcome: str) -> None:

@@ -230,10 +230,11 @@ class Medium:
                 raise ContractViolation(f"{sta} began a second transmission at t={now}")
             other.dirty = dirty = True
         tx = Transmission(self._next_tx_id, sta, ftype, frame_id, now + duration,
-                          on_end, dirty=dirty)
+                          on_end, dirty)
         self._next_tx_id += 1
         self._active[tx.tx_id] = tx
-        tx._end_ev = self.engine.schedule(tx.end, lambda: self._finish(tx))
+        tx._end_ev = self.engine.schedule(
+            tx.end, lambda: self._remove(tx, COLLIDED if tx.dirty else CLEAN))
         self.collector.on_tx_start(now, tx, was_idle)
         if was_idle:
             for ac in self.classes:
@@ -245,9 +246,6 @@ class Medium:
             raise ContractViolation(f"abort of inactive transmission {tx.tx_id}")
         self.engine.cancel(tx._end_ev)
         self._remove(tx, ABORTED)
-
-    def _finish(self, tx: Transmission) -> None:
-        self._remove(tx, COLLIDED if tx.dirty else CLEAN)
 
     def _remove(self, tx: Transmission, outcome: str) -> None:
         now = self.engine.now
@@ -287,9 +285,16 @@ class Medium:
         control channel; they all go on to transmit immediately and collide
         with each other, which is exactly the contention the scheme leaves
         unresolved.
+
+        _tones keeps its entries in assertion order: each is inserted at
+        the clock's now, which never decreases, and a release only removes
+        one.  So its first value is the earliest, and the only one to read.
         """
-        return self._released_at == t or any(
-            since < t for since in self._tones.values())
+        if self._released_at == t:
+            return True
+        for since in self._tones.values():
+            return since < t
+        return False
 
     def busy_tone_set(self, sta: str, on: bool) -> None:
         """Assert/release sta's tone.  The first assertion and the last

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
-from multiprocessing import get_context
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -98,6 +95,10 @@ def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers <= 1:
         return [_execute_point(t) for t in tasks]
+    # imported here, so that a serial sweep or a lone run never loads them
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
     # An executor, not multiprocessing.Pool: when a worker dies, the pool
     # fails the points it leaves unfinished instead of waiting for them.
     summaries = []

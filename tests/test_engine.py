@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from btwifi.engine import ContractViolation, Engine, RngStream
@@ -107,6 +109,24 @@ def test_uniform_rejects_inverted_interval():
     rng = RngStream(1, "x")
     with pytest.raises(ContractViolation):
         rng.uniform_int(5, 4)
+
+
+def test_uniform_int_draws_what_randint_draws():
+    # uniform_int inlines randint's rejection loop; twin generators must
+    # give the same values and end in the same state, on every window the
+    # default scenario reaches (backoff up to cw_max 1023, first arrival
+    # below the 10 ms mean) and on random ones, negative bounds included
+    windows = [(0, hi) for hi in range(1024)] + [(0, 9_999)]
+    pick = random.Random(30)
+    windows += [(lo, lo + pick.randrange(1 << pick.randrange(1, 48)))
+                for lo in (pick.randint(-10**6, 10**6) for _ in range(500))]
+    for seed, stream in ((1, "r0:backoff"), (7, "u3:arrival")):
+        ours = RngStream(seed, stream)
+        twin = random.Random(f"{seed}/{stream}")
+        for lo, hi in windows:
+            assert [ours.uniform_int(lo, hi) for _ in range(3)] == \
+                   [twin.randint(lo, hi) for _ in range(3)], (lo, hi)
+        assert ours._rng.getstate() == twin.getstate()
 
 
 def test_uniform_empirical_mean():

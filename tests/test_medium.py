@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from btwifi.engine import ContractViolation, Engine
@@ -196,6 +198,39 @@ def test_tone_asserted_before_semantics():
     eng.schedule(150, lambda: seen.setdefault(150, med.tone_asserted_before(150)))
     eng.run_until(200)
     assert seen == {100: False, 150: True}
+
+
+def test_tone_asserted_before_reads_the_earliest_assertion():
+    # a seeded walk of assertions and releases at instants that never
+    # decrease, checked against the expression over every held tone
+    eng, med, _ = make_medium()
+    rng = random.Random(30)
+    held = {}  # sta -> assertion instant
+    last_release = -1
+    release_then_assert = 0  # queries that only the release instant answers
+
+    def step():
+        nonlocal last_release, release_then_assert
+        now = eng.now
+        sta = rng.choice(["u0", "u1", "u2", "u3"])
+        if sta in held:
+            med.busy_tone_set(sta, False)
+            del held[sta]
+            last_release = now
+        else:
+            med.busy_tone_set(sta, True)
+            held[sta] = now
+        for t in (now, now + 1):
+            older = any(since < t for since in held.values())
+            assert med.tone_asserted_before(t) == (last_release == t or older)
+            release_then_assert += bool(held) and last_release == t and not older
+
+    t = 0
+    for _ in range(2000):
+        t += rng.choice([0, 0, 1, 3])
+        eng.schedule(t, step)
+    eng.run_until(t)
+    assert release_then_assert > 0
 
 
 def test_detection_delay_defers_control_broadcast():

@@ -90,8 +90,10 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_failed_run_in_worker_pool_reports_its_point():
-    # a genuinely failing run surfaced through the spawn-based pool
+def test_failed_run_in_worker_pool_reports_its_point(monkeypatch):
+    # a genuinely failing run surfaced through the spawn-based pool, of two
+    # workers even where this process may use only one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = ScenarioConfig(n_regular=1, m_list=(1,), schemes=("bogus",),
                          seeds=(1, 2, 3, 4), sim_duration=1_000_000, warmup=0)
     with time_limit(60), pytest.raises(SweepError) as exc:

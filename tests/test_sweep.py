@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -66,7 +70,9 @@ def test_single_point_rerun_reproduces_its_row():
     assert summary_row(lone) == summary_row(target)
 
 
-def test_parallel_execution_matches_serial():
+def test_parallel_execution_matches_serial(monkeypatch):
+    # a pool of two even where this process may use only one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     serial = render_csv(run_sweep(QUICK))
     parallel = render_csv(run_sweep(QUICK, jobs=2))
     assert serial == parallel
@@ -90,7 +96,8 @@ def test_pool_size_is_capped_by_points_and_cpus(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", RecordingPool)
+    # run_sweep imports the pool class only when it opens one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     two_points = ScenarioConfig(n_regular=1, m_list=(1,), schemes=("legacy",),
                                 seeds=(1, 2), sim_duration=100_000, warmup=0)
     # the CPUs this process may use, not the host's: taskset can narrow them
@@ -101,6 +108,18 @@ def test_pool_size_is_capped_by_points_and_cpus(monkeypatch):
                         lambda pid: {0, 1}, raising=False)
     run_sweep(replace(two_points, seeds=(1, 2, 3, 4)), jobs=3)
     assert sizes == [2, 2]
+
+
+def test_importing_the_package_loads_no_worker_pool():
+    # run_sweep imports the pool only to open one; a lone run never pays for it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; before = set(sys.modules); import btwifi; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_csv_numbers_are_plain_decimal():
