@@ -6,9 +6,9 @@
 
 --scheme/--m/--seed restrict the grid so any single CSV row can be
 reproduced in isolation.  Exit codes: 0 success (and --help), 1 a usage,
-configuration or output error (including an unusable --trace-dir), 2 a run
-failed; stderr names its grid point.  A command that exits 1 or 2 leaves no
-summary CSV, trace file or curve file behind.
+configuration or output error, each found before any run, 2 a run failed;
+stderr names its grid point.  A command that exits 1 or 2 leaves no summary
+CSV, trace or curve file; an empty --trace-dir or --curves-dir may remain.
 """
 
 from __future__ import annotations
@@ -80,8 +80,6 @@ def main(argv=None) -> int:
         print("simulate: --jobs must be >= 1", file=sys.stderr)
         return 1
     try:
-        # OSError comes only from the output files: a failure inside a run
-        # comes out as SweepError.
         summaries = write_outputs(cfg, args.out, args.jobs, args.trace_dir,
                                   args.curves_dir)
     except SweepError as exc:

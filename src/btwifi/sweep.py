@@ -35,12 +35,7 @@ class SweepError(RuntimeError):
 
     def __init__(self, scheme: str, m: int, seed: int, cause) -> None:
         self.point = (scheme, m, seed)
-        self._cause_text = str(cause)
         super().__init__(f"run (scheme={scheme}, M={m}, seed={seed}) failed: {cause}")
-
-    def __reduce__(self):
-        # keeps the grid point intact across the worker-pool pickle boundary
-        return (SweepError, (*self.point, self._cause_text))
 
 
 def expand_grid(cfg: ScenarioConfig) -> list[tuple[str, int, int]]:
@@ -57,10 +52,7 @@ def trace_filename(scheme: str, n: int, m: int, seed: int) -> str:
 
 def _execute_point(args) -> RunSummary:
     run_cfg, trace_path = args
-    try:
-        result = run_single(run_cfg)
-    except Exception as exc:
-        raise SweepError(run_cfg.scheme, run_cfg.m_urllc, run_cfg.seed, exc) from exc
+    result = run_single(run_cfg)
     if trace_path is not None:
         with open(trace_path, "w", encoding="utf-8") as fh:
             # line by line, so no joined copy of the trace is held; the bytes
@@ -84,34 +76,40 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
-              trace_dir: Optional[str] = None) -> list[RunSummary]:
-    if trace_dir is not None:
-        os.makedirs(trace_dir, exist_ok=True)
-    tasks = [(cfg.run_config(scheme, m, seed, trace=path is not None), path)
-             for (scheme, m, seed), path in zip(expand_grid(cfg),
-                                                trace_paths(cfg, trace_dir))]
-    # More workers than points or CPUs would only add interpreter start-ups.
-    workers = min(jobs, len(tasks), _usable_cpus())
-    if workers <= 1:
-        return [_execute_point(t) for t in tasks]
+def _run_pool(tasks: list, workers: int):
+    """Each task's summary from spawned workers, in task order."""
     # imported here, so that a serial sweep or a lone run never loads them
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
     # An executor, not multiprocessing.Pool: when a worker dies, the pool
     # fails the points it leaves unfinished instead of waiting for them.
-    summaries = []
     with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-        # in grid order: the first failing point raises, the points not yet
-        # started are cancelled, and those already running finish
         try:
-            for summary in pool.map(_execute_point, tasks):
-                summaries.append(summary)
+            yield from pool.map(_execute_point, tasks)
         except BrokenProcessPool as exc:
-            run_cfg = tasks[len(summaries)][0]
-            raise SweepError(run_cfg.scheme, run_cfg.m_urllc, run_cfg.seed,
-                             f"a worker process died ({exc})") from exc
+            raise RuntimeError(f"a worker process died ({exc})") from exc
+
+
+def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
+              trace_dir: Optional[str] = None) -> list[RunSummary]:
+    """Every grid point's summary, in grid order; trace_dir must exist.  A
+    failed run raises SweepError naming the first failing point in grid
+    order; an OSError, raised only by a trace write, passes through."""
+    grid = expand_grid(cfg)
+    tasks = [(cfg.run_config(*point, trace=path is not None), path)
+             for point, path in zip(grid, trace_paths(cfg, trace_dir))]
+    # More workers than points or CPUs would only add interpreter start-ups.
+    workers = min(jobs, len(tasks), _usable_cpus())
+    summaries = []
+    try:
+        for summary in (map(_execute_point, tasks) if workers <= 1
+                        else _run_pool(tasks, workers)):
+            summaries.append(summary)
+    except OSError:
+        raise
+    except Exception as exc:
+        raise SweepError(*grid[len(summaries)], exc) from exc
     return summaries
 
 
@@ -120,10 +118,10 @@ def write_outputs(cfg: ScenarioConfig, out: str, jobs: int = 1,
                   curves_dir: Optional[str] = None) -> list[RunSummary]:
     """Run the sweep and write its summary CSV, trace and curve files.
 
-    Two outputs that resolve to one file raise OSError before any run, and
-    nothing is written or removed.  If anything fails later, every file it
-    would write is removed before the exception propagates, so no partial
-    or stale output is left behind.
+    An output error raises OSError before any run.  Two outputs that resolve
+    to one file write or remove nothing; otherwise all directories are made
+    and every file opened once, and any failure from then on removes every
+    file, so no partial or stale output (but perhaps an empty dir) is left.
     """
     paths = [out, *(p for p in trace_paths(cfg, trace_dir) if p is not None)]
     if curves_dir is not None:
@@ -136,6 +134,10 @@ def write_outputs(cfg: ScenarioConfig, out: str, jobs: int = 1,
             raise OSError(f"{path} is named by two outputs; one would overwrite the other")
         seen.add(resolved)
     try:
+        for directory in (d for d in (trace_dir, curves_dir) if d is not None):
+            os.makedirs(directory, exist_ok=True)
+        for path in paths:
+            open(path, "w").close()
         summaries = run_sweep(cfg, jobs, trace_dir)
         write_summary_csv(summaries, out)
         if curves_dir is not None:
@@ -183,7 +185,6 @@ def write_curve_files(summaries: list[RunSummary], out_dir: str) -> None:
     Every (scheme, metric) file is written, with only its header when no
     run has a value, so a file left by an earlier sweep never survives.
     """
-    os.makedirs(out_dir, exist_ok=True)
     for scheme in sorted({s.scheme for s in summaries}):
         for name, attr in CURVES.items():
             by_m: dict[int, list[float]] = {}

@@ -25,8 +25,8 @@ Command line:
 
     python -m btwifi.tracecheck [--config FILE] TRACE...
 
-reads sim_duration_us, warmup_us and detection_delay_us from the scenario
-file (or the defaults), streams each trace and prints each `file: problem`.
+reads sim_duration_us and detection_delay_us from the scenario file (or the
+defaults), audits each whole trace, warmup included, and prints each `file: problem`.
 Exit 0: every trace is clean; 1: problems found; 2: no verdict (a usage error,
 a bad or unreadable scenario, an unreadable trace or a malformed record).
 """
@@ -281,6 +281,7 @@ def scan_trace(lines: Iterable[str], duration: int, warmup: int,
     """Physics checks over one run trace; returns problem strings.
 
     Reads lines once.  A malformed record raises ValueError naming its line.
+    warmup is accepted and ignored: the whole run is audited, warmup included.
     """
     trace = load_records(lines)
     txs = collect_transmissions(trace, duration)
@@ -372,8 +373,8 @@ def main(argv=None) -> int:
                     "Exit 0: all clean; 1: problems found; 2: no verdict (a usage "
                     "error, a bad or unreadable scenario or trace, a malformed record).")
     p.add_argument("--config", metavar="FILE",
-                   help="scenario file giving sim_duration_us, warmup_us and "
-                        "detection_delay_us (omit for the defaults)")
+                   help="scenario file giving sim_duration_us and detection_delay_us "
+                        "(omit for the defaults); the audit covers the whole run")
     p.add_argument("traces", nargs="+", metavar="TRACE", help="JSONL trace file")
     args = p.parse_args(argv)
     try:

@@ -65,15 +65,6 @@ def test_failed_run_identifies_its_grid_point(monkeypatch):
     assert "M=2" in str(exc.value) and "seed=9" in str(exc.value)
 
 
-def test_sweep_error_survives_pickling():
-    import pickle
-
-    err = SweepError("proposed", 7, 3, ContractViolation("boom"))
-    back = pickle.loads(pickle.dumps(err))
-    assert back.point == ("proposed", 7, 3)
-    assert "M=7" in str(back) and "boom" in str(back)
-
-
 @contextlib.contextmanager
 def time_limit(seconds):
     """Raise TimeoutError in the body after `seconds`, so that a pool

@@ -225,18 +225,29 @@ def test_cli_missing_config_file_exits_1(tmp_path):
     assert main(["--config", str(tmp_path / "nope.cfg")]) == 1
 
 
-def test_cli_unwritable_output_exits_1(tmp_path):
+def no_run_may_start(monkeypatch):
+    """Make any run fail its test: an output error must be found first."""
+    def run_single_stand_in(run_cfg):
+        pytest.fail(f"a run started before the output error: {run_cfg.seed}")
+
+    monkeypatch.setattr("btwifi.sweep.run_single", run_single_stand_in)
+
+
+def test_cli_unwritable_output_exits_1(monkeypatch, tmp_path, capsys):
+    no_run_may_start(monkeypatch)
     cfg_file = tmp_path / "scenario.cfg"
     write_quick_cfg(cfg_file)
     rc = main(["--config", str(cfg_file),
                "--out", str(tmp_path / "no" / "such" / "dir" / "o.csv")])
     assert rc == 1
+    assert capsys.readouterr().err.startswith("simulate: cannot write output: ")
 
 
-def test_cli_unusable_trace_dir_exits_1(tmp_path, capsys):
+def test_cli_unusable_trace_dir_exits_1(monkeypatch, tmp_path, capsys):
     # A regular file as the directory, and a directory where the second
-    # point's trace file must go: both fail even for root, and neither may
-    # leave a summary or the first point's trace.
+    # point's trace file must go: both fail even for root, before any run,
+    # and neither may leave a summary or the first point's trace.
+    no_run_may_start(monkeypatch)
     cfg_file = tmp_path / "scenario.cfg"
     write_quick_cfg(cfg_file, seeds="1, 2")
     not_a_dir = tmp_path / "file"
@@ -258,9 +269,10 @@ def test_cli_unusable_trace_dir_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["curves dir is a file", "no out dir",
                                   "second curve file blocked"])
-def test_cli_failed_output_write_leaves_no_outputs(case, tmp_path, capsys):
-    # The sweep and its traces succeed, then writing the summary CSV or a
-    # curve file fails: no summary, trace or curve file may be left.
+def test_cli_failed_output_write_leaves_no_outputs(case, monkeypatch, tmp_path, capsys):
+    # The summary CSV or a curve file cannot be written: that is found
+    # before any run, and no summary, trace or curve file may be left.
+    no_run_may_start(monkeypatch)
     cfg_file = tmp_path / "scenario.cfg"
     write_quick_cfg(cfg_file, seeds="1, 2")
     out, curves = tmp_path / "o.csv", tmp_path / "curves"
@@ -277,7 +289,7 @@ def test_cli_failed_output_write_leaves_no_outputs(case, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("simulate: cannot write output: ")
     assert not out.exists()
     assert list(trace_dir.iterdir()) == []
-    if case == "second curve file blocked":  # the delay curve was written
+    if case == "second curve file blocked":  # the delay curve was opened
         assert [p.name for p in curves.iterdir()] == \
             ["regular_throughput_bps_proposed.dat"]
 
