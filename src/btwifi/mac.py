@@ -10,9 +10,9 @@ Timing model (integer microseconds):
   The medium applies this rule to a whole traffic class at once
   (``medium.AccessClass``): at every idle edge, and at a heard tone clear
   for the stations that obey the tone, it arms all the class's waiting
-  stations behind one event.  A station that starts waiting on an idle
-  channel arms alone with its own event (``Station.on_main_idle``): a
-  new frame, a retry, a re-contention after an abort.
+  stations behind one event.  A station that starts waiting while its
+  class may count (``Medium.may_count``) arms alone on its own event
+  (``Station.on_main_idle``): a new frame, a retry, a re-contention.
 * When the channel turns busy at t the arm is dropped and the counter
   becomes the slots still left between t and the armed instant, rounded
   up: a partially elapsed slot is not spent (freeze/resume).  The medium
@@ -42,10 +42,10 @@ its ``AccessClass``, and in ``Medium.tone_listeners`` if it obeys the
 tone.  A legacy low-latency station is a plain ``Station`` and so a tone
 listener too, but the legacy scheme never raises a tone.  A station that
 obeys the tone aborts an ongoing transmission and freezes its backoff
-the moment the tone is detected, and does not arm while
-``Medium.tone_heard`` is set: suspension is the medium's heard level, set
-before any listener is told, so the main-channel idle edge left by the
-first abort arms no station that obeys the tone.
+the moment the tone is detected.  Whether a station may count is the
+medium's to say (``Medium.may_count``), from its heard level, set before
+any listener is told, so the main-channel idle edge left by the first
+abort arms no station that obeys the tone.
 Only a station whose head frame contends is ever armed, so never a
 low-latency station on the no-backoff path.
 ``Station._contend`` is the way into contention for every station class:
@@ -117,24 +117,23 @@ class Station:
         self.head: Optional[Frame] = None
         self.retry_count = 0
         self._counter = 0  # the backoff counter while not in the class heap
-        self._key: Optional[int] = None  # the class heap key while in it
-        self._at: Optional[SimTime] = None  # fire instant while in ac.alone
         self._cur_tx: Optional[Transmission] = None
         medium.enroll(self)  # sets ac (the AccessClass) and index
 
     @property
     def counter(self) -> int:
         """Backoff slots left, as of the last freeze or arm."""
-        return self._counter if self._key is None else self._key - self.ac.offset
+        key = self.ac.key_of(self)
+        return self._counter if key is None else key - self.ac.offset
 
     @property
     def fire_at(self) -> Optional[SimTime]:
         """Where the armed counter hits 0; None while not armed."""
-        if self._at is not None:
-            return self._at
-        if self._key is None or self.ac.since is None:
-            return None
-        return self.ac.fire_at(self._key)
+        ac = self.ac
+        if self in ac.alone:
+            return ac.alone[self][0]
+        key = ac.key_of(self)
+        return None if key is None or ac.since is None else ac.fire_at(key)
 
     # -- frame intake -------------------------------------------------------
 
@@ -154,13 +153,13 @@ class Station:
 
     def _contend(self) -> None:
         """The one way into contention: draw on [0, _cw[retry_count]], then
-        wait, armed if allowed.  retry_count never exceeds the retry limit
-        here: a frame past it is dropped instead."""
+        wait, armed if the medium lets the class count.  retry_count never
+        exceeds the retry limit here: a frame past it is dropped instead."""
         self._counter = self.rng.uniform_int(0, self._cw[self.retry_count])
-        if self.medium.is_main_busy():
-            self.ac.push(self, self._counter)
-        else:
+        if self.medium.may_count(self.ac):
             self.on_main_idle(self.engine.now)
+        else:
+            self.ac.push(self, self._counter)
 
     def on_main_busy(self, t: SimTime) -> None:
         """Freeze at t, a main busy edge or a heard tone: drop the arm in
@@ -168,23 +167,19 @@ class Station:
         partial one included.  Only ``AccessClass.stop`` calls it, for the
         stations its boundary rule stops; the name stays because the
         benchmark's spans (bench/spans.py) wrap it."""
-        ac = self.ac
-        self.engine.cancel(ac.alone.pop(self))
-        left = (self._at - t + self.phy.slot_time - 1) // self.phy.slot_time
+        at, ev = self.ac.alone.pop(self)
+        self.engine.cancel(ev)
+        left = (at - t + self.phy.slot_time - 1) // self.phy.slot_time
         if left < self._counter:
             self._counter = left
-        self._at = None
-        ac.push(self, self._counter)
+        self.ac.push(self, self._counter)
 
     def on_main_idle(self, t: SimTime) -> None:
-        # The station started waiting on an idle channel: it arms alone
-        # with its own event unless a heard tone suspends it.  At an idle
-        # edge or a tone clear the medium arms its class instead.
-        if self.obeys_tone and self.medium.tone_heard:
-            self.ac.push(self, self._counter)
-            return
-        self._at = t + self.aifs_us + self._counter * self.phy.slot_time
-        self.ac.alone[self] = self.engine.schedule(self._at, self._fire_tx)
+        # Arm alone on the station's own event, once _contend has found that
+        # the class may count; at an idle edge or a tone clear the medium arms
+        # the class instead.  The name stays for bench/spans.py, which wraps it.
+        at = t + self.aifs_us + self._counter * self.phy.slot_time
+        self.ac.alone[self] = (at, self.engine.schedule(at, self._fire_tx))
 
     # -- tone channel ---------------------------------------------------------
 
@@ -203,9 +198,7 @@ class Station:
 
     def _fire_tx(self) -> None:
         """The one way onto the air: an expired backoff or the fast path."""
-        if self._at is not None:
-            del self.ac.alone[self]
-            self._at = None
+        self.ac.alone.pop(self, None)
         self._cur_tx = self.medium.begin_transmission(
             self.sta_id, self._data_ftype, self.params.data_airtime,
             self._on_data_end, frame_id=self.head.frame_id)

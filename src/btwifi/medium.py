@@ -60,8 +60,8 @@ class AccessClass:
     while the class counts each is armed for fire_at(its key), and ev is
     the one event at the earliest, at.
 
-    alone maps each station armed outside heap to its event; its _at is
-    set exactly while it is there.  One arms alone on its own event
+    alone maps each station armed outside heap to (at, ev), its fire
+    instant and its event.  One arms alone on its own event
     (``Station.on_main_idle``); those a busy edge finds due at its instant
     are held on the class's event, and due lists them for _fire.  Events
     are only passed to Engine.cancel."""
@@ -86,8 +86,11 @@ class AccessClass:
 
     def push(self, sta, counter: int) -> None:
         """sta waits, not armed, with counter slots left; the class is frozen."""
-        sta._key = key = counter + self.offset
-        heapq.heappush(self.heap, (key, sta.index, sta))
+        heapq.heappush(self.heap, (counter + self.offset, sta.index, sta))
+
+    def key_of(self, sta) -> int | None:
+        """sta's heap key; None if it is not in heap."""
+        return next((key for key, _, other in self.heap if other is sta), None)
 
     def fire_at(self, key: int) -> SimTime:
         """When the station with heap key key hits 0, while the class counts."""
@@ -118,8 +121,7 @@ class AccessClass:
                 if not tone and self.at == t:
                     self.due = self._pop_due()
                     for sta in self.due:
-                        sta._at = t
-                        alone[sta] = ev
+                        alone[sta] = (t, ev)
                 else:
                     self.engine.cancel(ev)
                 self.ev = None
@@ -128,7 +130,7 @@ class AccessClass:
                 self.offset += k
             self.since = None
         if alone:
-            for sta in [sta for sta in alone if tone or sta._at > t]:
+            for sta in [sta for sta, (at, _) in alone.items() if tone or at > t]:
                 sta.on_main_busy(t)
             if tone:
                 self.due = []
@@ -142,7 +144,6 @@ class AccessClass:
         due = []
         while heap and heap[0][0] == key:
             sta = heapq.heappop(heap)[2]
-            sta._key = None
             sta._counter = counter
             due.append(sta)
         return due
@@ -173,19 +174,19 @@ class Medium:
     classes lists the ``AccessClass`` of every counting rule, in the order
     of their first station.
 
-    The medium counts backoff per class, not per station.  A station
-    waiting while it may not count (the main channel busy, or a heard tone
-    that it obeys) sits in its class's heap.  At a main idle edge every
-    class that may count starts, and at a heard tone clear on an idle
-    channel every class that obeys the tone does (``AccessClass.start``): each
-    schedules one event at its earliest station's instant, so an edge
-    costs O(classes), not O(stations).  The class events of one edge are scheduled one after
+    The medium counts backoff per class, not per station, and only the
+    medium says whether a class may count (``may_count``).  A station
+    waiting while its class may not sits in the class's heap.  At a main
+    idle edge and at a heard tone clear every frozen class that may count
+    starts (``AccessClass.start``): each schedules one event at its
+    earliest station's instant, so an edge costs O(classes), not
+    O(stations).  The class events of one edge are scheduled one after
     another in class order, so each ranks against the other events of its
     microsecond as the block of one event per station did, and stations
     due together start in construction order (a run builds every regular
-    station before the URLLC ones).  A station that starts waiting on an
-    idle channel it may count on (a new frame, a retry, a re-contention)
-    arms alone with its own event (``Station.on_main_idle``).  A busy edge
+    station before the URLLC ones).  A station that starts waiting while
+    its class may count (a new frame, a retry, a re-contention) arms
+    alone with its own event (``Station.on_main_idle``).  A busy edge
     at t, or a heard tone, freezes each class and the stations it holds
     alone (``AccessClass.stop``).  The end of a clean data frame starts no
     class: its ack begins SIFS later, before any AIFS (at least SIFS + 2
@@ -194,8 +195,7 @@ class Medium:
     tone_heard is the control level the listeners last heard: it changes
     at the heard instant, detection_delay after the first assertion or the
     last release, before any listener is told.  A release followed by an
-    assertion in the same microsecond does not change it.  A station that
-    obeys the tone reads it to know that it is suspended.
+    assertion in the same microsecond does not change it.
     """
 
     def __init__(self, engine: Engine, detection_delay: SimTime, collector) -> None:
@@ -204,8 +204,6 @@ class Medium:
         self.collector = collector
         self.tone_listeners: list = []
         self.classes: list[AccessClass] = []
-        self._obeying: list[AccessClass] = []  # the classes that obey the tone
-        self._deaf: list[AccessClass] = []  # and those that do not
         self.tone_heard = False
         self._active: dict[int, Transmission] = {}
         self._next_tx_id = 0
@@ -252,11 +250,21 @@ class Medium:
         del self._active[tx.tx_id]
         self.collector.on_tx_end(now, tx, outcome, not self._active)
         if not self._active and (outcome != CLEAN or tx.frame_id is None):
-            for ac in self._deaf if self.tone_heard else self.classes:
-                ac.start(now)
+            self._start_frozen(now)
         tx.on_end(outcome)
 
     # -- channel access -----------------------------------------------------
+
+    def may_count(self, ac: AccessClass) -> bool:
+        """True iff ac's stations may count down now: the main channel is
+        idle, and no tone is heard if ac obeys it."""
+        return not self._active and not (ac.obeys_tone and self.tone_heard)
+
+    def _start_frozen(self, t: SimTime) -> None:
+        """Start every frozen class that may count: an idle edge, a tone clear."""
+        for ac in self.classes:
+            if ac.since is None and self.may_count(ac):
+                ac.start(t)
 
     def enroll(self, sta) -> None:
         """Register a new station: its class, its construction index within
@@ -268,7 +276,6 @@ class Medium:
         else:
             ac = AccessClass(self.engine, *key)
             self.classes.append(ac)
-            (self._obeying if ac.obeys_tone else self._deaf).append(ac)
         sta.ac, sta.index = ac, ac.size
         ac.size += 1
         if sta.obeys_tone:
@@ -327,13 +334,12 @@ class Medium:
         now = self.engine.now
         self.tone_heard = busy
         if busy:
-            for ac in self._obeying:
-                ac.stop(now, tone=True)
+            for ac in self.classes:
+                if ac.obeys_tone:
+                    ac.stop(now, tone=True)
             for sta_obj in self.tone_listeners:
                 sta_obj.on_control_busy(now)
         else:
-            if not self._active:
-                for ac in self._obeying:
-                    ac.start(now)
+            self._start_frozen(now)
             for sta_obj in self.tone_listeners:
                 sta_obj.on_control_idle(now)

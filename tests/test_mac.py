@@ -337,9 +337,10 @@ def test_a_held_due_station_starts_before_its_class_restarts_in_that_microsecond
 def test_only_a_contending_head_frame_waits_or_is_armed():
     # Station._contend is the only way into contention, so at any instant an
     # armed station has a head frame.  A station that obeys the tone is
-    # never armed while the tone is heard.  A station is in its class's
-    # alone map exactly while its _at is set, and never there and in the
-    # class heap at once.
+    # never armed while the tone is heard, and no station is armed while
+    # the medium refuses its class the count, unless it is held due now.
+    # An alone entry's instant is not past and is the station's fire_at,
+    # and no station is in its class's alone map and heap at once.
     b = Bench(duration=300_000)
     draw = random.Random(7)
     regular = [b.add_regular(f"r{i}", draws=[draw.randint(0, 15) for _ in range(400)])
@@ -354,14 +355,18 @@ def test_only_a_contending_head_frame_waits_or_is_armed():
     seen, broken, heard = set(), [], []
 
     def probe():
+        now = b.engine.now
         heard.append(b.medium.tone_heard)
         for sta in b.stations.values():
-            armed = sta.fire_at is not None
+            fire_at = sta.fire_at
+            armed = fire_at is not None
             alone = sta in sta.ac.alone
             seen.add((sta.traffic_class, sta.head is not None, armed))
             if (armed and sta.head is None) \
                     or (armed and sta.obeys_tone and b.medium.tone_heard) \
-                    or alone != (sta._at is not None) \
+                    or (armed and fire_at != now
+                        and not b.medium.may_count(sta.ac)) \
+                    or (alone and not now <= sta.ac.alone[sta][0] == fire_at) \
                     or (alone and any(entry[2] is sta for entry in sta.ac.heap)):
                 broken.append((b.engine.now, sta.sta_id))
 

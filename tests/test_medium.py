@@ -6,6 +6,8 @@ from btwifi.engine import ContractViolation, Engine
 from btwifi.medium import ABORTED, CLEAN, COLLIDED, Medium
 from btwifi.metrics import MetricsCollector
 
+from conftest import Bench
+
 
 class Sink(MetricsCollector):
     """Collector that logs the main-channel edges flagged on its transmission
@@ -322,3 +324,70 @@ def test_a_release_and_an_assertion_in_one_microsecond_leave_no_heard_gap():
         med, sink, _ = release_and_assert_at_500(release_first, detection_delay=5)
         assert control_edges(sink) == [("control-busy", 105)], release_first
         assert control_busy(sink) and med.tone_heard, release_first
+
+
+def test_may_count_is_the_one_start_rule():
+    # r0's class obeys the tone, u0's is deaf to it.  A foreign ack-like
+    # frame x (no frame id, so its end is an idle edge that starts classes)
+    # holds [0, 100), a foreign tone z is heard over [50, 200).  The idle
+    # edge at 100 starts only the deaf class; the clear at 200 starts the
+    # obeying one and leaves the counting deaf class's since as it was.
+    b = Bench()
+    med = b.medium
+    reg = b.add_regular("r0").ac
+    urllc = b.add_urllc("u0").ac
+    seen = {}
+
+    def probe(label):
+        seen[label] = (med.may_count(reg), med.may_count(urllc), reg.since, urllc.since)
+
+    probe("idle")
+    med.begin_transmission("x", "ack", 100, lambda o: None)
+    probe("busy")
+    b.engine.schedule(50, lambda: med.busy_tone_set("z", True))
+    b.engine.schedule(50, lambda: probe("busy+tone"))
+    b.engine.schedule(100, lambda: probe("tone"))
+    b.engine.schedule(200, lambda: med.busy_tone_set("z", False))
+    b.engine.schedule(200, lambda: probe("clear"))
+    b.run(300)
+    assert seen == {
+        "idle": (True, True, None, None),
+        "busy": (False, False, None, None),
+        "busy+tone": (False, False, None, None),
+        "tone": (False, True, None, 100),
+        "clear": (True, True, 200, 100),
+    }
+
+
+def test_a_foreign_tone_cleared_in_a_sifs_gap_moves_no_start():
+    # r0 (draw 0) sends a clean data frame [43, 2043), whose ack starts
+    # SIFS later, at 2059; r1 (draw 2) waits in its class's heap.  A foreign
+    # tone z is heard over [2045, 2050), inside that gap, where the clean
+    # data end started no class: its clear starts the frozen classes, and
+    # the ack's busy edge stops them again with no slot elapsed, so every
+    # counter is as if the clear had started nothing.  u0 launches on the
+    # fast path at 2052 + 34, into the ack; u1 contends under u0's tone at
+    # 2054, arms alone for 2097 and freezes at 2059 with counter 1.  From
+    # there: u1 at u0's collided end + 34 + 9, u0 at u1's ack end + 34, r0
+    # (retry draw 0) at the tone clear + 43, r1 at r0's ack end + 43 + 18.
+    b = Bench()
+    r0 = b.add_regular("r0", draws=[0, 0])
+    r1 = b.add_regular("r1", draws=[2, 0])
+    u0 = b.add_urllc("u0", draws=[0, 0])
+    u1 = b.add_urllc("u1", draws=[1, 0])
+    b.enqueue_at(0, r0)
+    b.enqueue_at(100, r1)
+    b.engine.schedule(2045, lambda: b.medium.busy_tone_set("z", True))
+    b.engine.schedule(2050, lambda: b.medium.busy_tone_set("z", False))
+    b.enqueue_at(2052, u0)
+    b.enqueue_at(2054, u1)
+    b.run(2051)
+    assert r1.ac.since == u0.ac.since == 2050
+    b.run(2059)
+    assert r1.ac.since is None and u0.ac.since is None
+    assert (r1.counter, u1.counter) == (2, 1)
+    b.run(10_000)
+    starts = [(e["sta"], e["t"]) for e in b.events("tx_start")]
+    assert starts == [("r0", 43), ("ap", 2059), ("u0", 2086), ("u1", 2329),
+                      ("ap", 2545), ("u0", 2623), ("ap", 2839), ("r0", 2926),
+                      ("ap", 4942), ("r1", 5047), ("ap", 7063)]
