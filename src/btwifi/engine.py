@@ -52,7 +52,7 @@ class Engine:
         if fire_at < self.now:
             raise ContractViolation(
                 f"schedule at t={fire_at} but clock is at t={self.now} "
-                f"({getattr(fn, '__qualname__', fn)})")
+                f"({getattr(fn, '__qualname__', type(fn).__qualname__)})")
         ev = [fire_at, self._seq, fn]
         heapq.heappush(self._heap, ev)
         self._seq += 1
@@ -77,7 +77,7 @@ class Engine:
             if fn is None:  # cancelled
                 continue
             self.now = ev[0]
-            ev[2] = None  # mark fired; also drops the closure reference
+            ev[2] = None  # mark fired; breaks the cycle of a frame and its end event
             fn()
             n += 1
         self.now = t_end

@@ -191,7 +191,7 @@ class Station:
 
     def on_control_idle(self, t: SimTime) -> None:
         # Nothing to do: the medium has armed the station's class behind
-        # one event (Medium._deliver_control).
+        # one event (Medium._hear_clear).
         pass
 
     # -- the frame exchange ----------------------------------------------------
@@ -201,7 +201,7 @@ class Station:
         self.ac.alone.pop(self, None)
         self._cur_tx = self.medium.begin_transmission(
             self.sta_id, self._data_ftype, self.params.data_airtime,
-            self._on_data_end, frame_id=self.head.frame_id)
+            self._on_data_end, self.head.frame_id)
 
     def _on_data_end(self, outcome: str) -> None:
         self._cur_tx = None

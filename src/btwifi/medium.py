@@ -35,14 +35,22 @@ ABORTED = "aborted"
 
 @dataclass(slots=True)
 class Transmission:
+    """One frame on the main channel, and its own end event: the medium
+    schedules the frame itself at end, so a frame builds no closure, and
+    calling it takes it off the channel, collided if it is dirty."""
+
     tx_id: int
     sta: str
     ftype: str
     frame_id: object  # the data frame's id; None for an ack
     end: SimTime  # the scheduled end; an abort leaves it as it is
     on_end: Callable[[str], None]
+    medium: Medium
     dirty: bool = False  # overlapped some other transmission at any point
     _end_ev: object = None  # the event at end, only passed to Engine.cancel
+
+    def __call__(self) -> None:
+        self.medium._remove(self, COLLIDED if self.dirty else CLEAN)
 
 
 class AccessClass:
@@ -174,6 +182,9 @@ class Medium:
     classes lists the ``AccessClass`` of every counting rule, in the order
     of their first station.
 
+    A frame on air is a ``Transmission`` in _active and is its own end
+    event; at its end, or at an abort, it leaves through ``_remove``.
+
     The medium counts backoff per class, not per station, and only the
     medium says whether a class may count (``may_count``).  A station
     waiting while its class may not sits in the class's heap.  At a main
@@ -213,30 +224,29 @@ class Medium:
 
     # -- main data channel ------------------------------------------------
 
-    def is_main_busy(self) -> bool:
-        return bool(self._active)
-
     def begin_transmission(self, sta: str, ftype: str, duration: SimTime,
                            on_end: Callable[[str], None], frame_id=None) -> Transmission:
         now = self.engine.now
-        was_idle = not self._active
+        active = self._active
+        was_idle = not active
         dirty = False
-        for other in self._active.values():
-            if other.end == now:  # touches this frame; ends by its own event
-                continue
-            if other.sta == sta:
-                raise ContractViolation(f"{sta} began a second transmission at t={now}")
-            other.dirty = dirty = True
+        if not was_idle:
+            for other in active.values():
+                if other.end == now:  # touches this frame; ends by its own event
+                    continue
+                if other.sta == sta:
+                    raise ContractViolation(f"{sta} began a second transmission at t={now}")
+                other.dirty = dirty = True
         tx = Transmission(self._next_tx_id, sta, ftype, frame_id, now + duration,
-                          on_end, dirty)
+                          on_end, self, dirty)
         self._next_tx_id += 1
-        self._active[tx.tx_id] = tx
-        tx._end_ev = self.engine.schedule(
-            tx.end, lambda: self._remove(tx, COLLIDED if tx.dirty else CLEAN))
+        active[tx.tx_id] = tx
+        tx._end_ev = self.engine.schedule(tx.end, tx)
         self.collector.on_tx_start(now, tx, was_idle)
         if was_idle:
             for ac in self.classes:
-                ac.stop(now)
+                if ac.since is not None or ac.alone:  # else nothing to freeze
+                    ac.stop(now)
         return tx
 
     def abort_transmission(self, tx: Transmission) -> None:
@@ -248,8 +258,9 @@ class Medium:
     def _remove(self, tx: Transmission, outcome: str) -> None:
         now = self.engine.now
         del self._active[tx.tx_id]
-        self.collector.on_tx_end(now, tx, outcome, not self._active)
-        if not self._active and (outcome != CLEAN or tx.frame_id is None):
+        idle = not self._active
+        self.collector.on_tx_end(now, tx, outcome, idle)
+        if idle and (outcome != CLEAN or tx.frame_id is None):
             self._start_frozen(now)
         tx.on_end(outcome)
 
@@ -322,24 +333,30 @@ class Medium:
             self._released_at = now
         if len(self._tones) != (1 if on else 0):
             return
+        heard = self._hear_busy if on else self._hear_clear
         if self.detection_delay == 0:
-            self._deliver_control(on)
+            heard()
         elif on and self._released_at == now:  # the last edge is that idle edge
             self.engine.cancel(self._last_edge)
         else:
-            self._last_edge = self.engine.schedule(
-                now + self.detection_delay, lambda: self._deliver_control(on))
+            self._last_edge = self.engine.schedule(now + self.detection_delay, heard)
 
-    def _deliver_control(self, busy: bool) -> None:
+    def _hear_busy(self) -> None:
+        """The heard busy edge: freeze every class that obeys the tone, then
+        tell the listeners."""
         now = self.engine.now
-        self.tone_heard = busy
-        if busy:
-            for ac in self.classes:
-                if ac.obeys_tone:
-                    ac.stop(now, tone=True)
-            for sta_obj in self.tone_listeners:
-                sta_obj.on_control_busy(now)
-        else:
-            self._start_frozen(now)
-            for sta_obj in self.tone_listeners:
-                sta_obj.on_control_idle(now)
+        self.tone_heard = True
+        for ac in self.classes:
+            if ac.obeys_tone:
+                ac.stop(now, tone=True)
+        for sta_obj in self.tone_listeners:
+            sta_obj.on_control_busy(now)
+
+    def _hear_clear(self) -> None:
+        """The heard idle edge: start every frozen class that may count, then
+        tell the listeners."""
+        now = self.engine.now
+        self.tone_heard = False
+        self._start_frozen(now)
+        for sta_obj in self.tone_listeners:
+            sta_obj.on_control_idle(now)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from btwifi.engine import ContractViolation, Engine, RngStream
+from btwifi.medium import Medium, Transmission
 
 
 def test_schedule_and_dispatch_at_fire_time():
@@ -31,6 +32,19 @@ def test_scheduling_in_the_past_is_fatal():
     eng.run_until(50)
     with pytest.raises(ContractViolation):
         eng.schedule(49, lambda: None)
+
+    def on_timeout():
+        pass
+
+    # The message names the callback: a function by its qualified name, and
+    # a callable instance, such as a frame's end event, by its class alone.
+    with pytest.raises(ContractViolation, match=r"schedule at t=49 but clock is at "
+                       r"t=50 \(test_scheduling_in_the_past_is_fatal\.<locals>\.on_timeout\)$"):
+        eng.schedule(49, on_timeout)
+    tx = Transmission(0, "r0", "regular-data", None, 49, lambda outcome: None,
+                      Medium(eng, 0, None))
+    with pytest.raises(ContractViolation, match=r"t=50 \(Transmission\)$"):
+        eng.schedule(49, tx)
 
 
 def test_cancel_pending_event():

@@ -44,6 +44,12 @@ def control_busy(sink):
     return bool(edges) and edges[-1][0] == "control-busy"
 
 
+def main_busy(sink):
+    """The main channel as the sink saw it: busy iff its last main edge was."""
+    edges = [e for e in sink.log if e[0].startswith("main")]
+    return bool(edges) and edges[-1][0] == "main-busy"
+
+
 def make_medium(detection_delay=0):
     eng = Engine()
     sink = Sink()
@@ -277,7 +283,7 @@ def test_busy_flags_during_priority_exchange():
     eng.schedule(394, lambda: med.busy_tone_set("u0", False))
     for t in (50, 120, 200, 340, 370, 396):
         eng.schedule(t, lambda t=t: probes.setdefault(
-            t, (med.is_main_busy(), control_busy(sink))))
+            t, (main_busy(sink), control_busy(sink))))
     eng.run_until(1000)
     assert probes[50] == (True, False)    # regular frame on air
     assert probes[120] == (False, True)   # AIFS gap: main idle, tone up

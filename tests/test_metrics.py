@@ -72,7 +72,7 @@ def test_zero_urllc_deliveries_leave_delay_fields_absent():
 
 def test_busy_fraction_is_clipped_union_over_window():
     col = MetricsCollector(warmup=1000, duration=11_000)
-    tx = Transmission(0, "r0", "regular-data", "r0:1", 1500, None)
+    tx = Transmission(0, "r0", "regular-data", "r0:1", 1500, None, None)
     col.on_tx_start(500, tx, True)
     col.on_tx_end(1500, tx, CLEAN, True)   # contributes [1000, 1500)
     col.on_tx_start(2000, tx, True)
@@ -90,7 +90,7 @@ def test_tx_end_counts_collided_data_frames_and_aborts():
     for ftype, outcome in (("regular-data", COLLIDED), ("urllc-data", COLLIDED),
                            ("ack", COLLIDED), ("regular-data", ABORTED),
                            ("urllc-data", CLEAN)):
-        tx = Transmission(0, "x", ftype, None if ftype == "ack" else "x:0", 10, None)
+        tx = Transmission(0, "x", ftype, None if ftype == "ack" else "x:0", 10, None, None)
         col.on_tx_start(0, tx, True)
         col.on_tx_end(10, tx, outcome, True)
     assert col.collided == {"regular": 1, "urllc": 1}  # a collided ack is not

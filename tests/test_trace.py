@@ -17,14 +17,14 @@ def dumps(**record):
 
 
 def data_tx(tx_id, sta, frame_id, end, ftype="regular-data"):
-    return Transmission(tx_id, sta, ftype, frame_id, end, on_end=None)
+    return Transmission(tx_id, sta, ftype, frame_id, end, on_end=None, medium=None)
 
 
 def test_every_record_kind_matches_json_dumps():
     tr = Tracer(0, 10_000)
     frame = Frame("r3:17", 40)
     urllc_frame = Frame("u0:2", 90)
-    ack = Transmission(7, "ap", "ack", None, 2160, on_end=None)
+    ack = Transmission(7, "ap", "ack", None, 2160, on_end=None, medium=None)
     cases = [
         (lambda: tr.on_arrival(40, "r3", "regular", frame),
          [dumps(t=40, kind="arrival", sta="r3", frame="r3:17", cls="regular")]),

@@ -175,9 +175,10 @@ def test_a_cohort_that_loses_its_earliest_member_to_the_tone_keeps_its_rank():
     for sta in (r0, r1):
         b.enqueue_at(10, sta)
     b.enqueue_at(999, u1)
-    busy_at_probe = []
+    busy_at_probe = []  # whether the trace so far holds a frame not yet ended
     b.engine.schedule(1000, lambda: b.engine.schedule(  # after x's end event
-        1052, lambda: busy_at_probe.append(b.medium.is_main_busy())))
+        1052, lambda: busy_at_probe.append(
+            len(b.events("tx_start")) > len(b.events("tx_end")))))
     b.run(1001)
     assert r0.fire_at is None and r1.fire_at is None and u1.fire_at == 1052
     b.run(1100)
