@@ -16,7 +16,7 @@ from .engine import Engine, RngStream
 from .mac import Station
 from .medium import Medium
 from .metrics import CLASSES, MetricsCollector, RunSummary
-from .trace import Tracer
+from .trace import TraceLines, Tracer
 from .traffic import ExpAfterSuccessSource, SaturatedSource
 from .urllc import UrllcStation
 
@@ -24,7 +24,9 @@ from .urllc import UrllcStation
 @dataclass(slots=True)
 class RunResult:
     summary: RunSummary
-    trace_lines: Optional[list]  # the JSONL lines of a traced run, else None
+    # the JSONL lines of a traced run, else None; every audit of them
+    # shares tracecheck.load_records' one fold
+    trace_lines: Optional[TraceLines]
 
 
 def run_single(cfg: RunConfig) -> RunResult:
@@ -59,4 +61,4 @@ def run_single(cfg: RunConfig) -> RunResult:
             in_flight[sta.traffic_class] += 1
     summary = collector.finalize(cfg.scheme, cfg.m_urllc, cfg.n_regular,
                                  cfg.seed, in_flight)
-    return RunResult(summary, collector.lines if cfg.trace else None)
+    return RunResult(summary, TraceLines(collector.lines) if cfg.trace else None)

@@ -12,12 +12,26 @@ No string is escaped: the simulator generates every one, the ids as r{i},
 u{j}, ap and <sta>:<n> and every other string as a module constant, and none
 holds a quote, a backslash or a control character.  tests/test_trace.py
 keeps json.dumps as the oracle for every kind.
+
+A finished run's lines are a TraceLines: a tuple, so they cannot change
+after the run, which lets tracecheck.load_records keep its fold of them on
+the value and every later audit of the run reuse that one parse.
 """
 
 from __future__ import annotations
 
 from .medium import ABORTED
 from .metrics import MetricsCollector
+
+
+class TraceLines(tuple):
+    """The JSONL lines of a finished run, in order.
+
+    fold is the tracecheck.Trace that load_records folded from these lines,
+    or None until a fold has succeeded; nothing else writes it.
+    """
+
+    fold = None
 
 
 class Tracer(MetricsCollector):

@@ -11,15 +11,24 @@ with one json.loads under a guard that proves it reads what json.loads line
 by line would (see _parse_chunk), and line by line otherwise, so the first
 bad line is still the one named.  load_records folds its lines, read once,
 into a Trace of compact state: one TxRecord per transmission, the tone
-spans, the delivered frames and the drop and preemption counts.  Any
-malformed record, a tx_end without its tx_start included, raises a
-ValueError that names its line.  scan_trace and replay_csv_row are
-load_records plus their own checks or counts.  The replay takes every count
-from the trace and shares with the simulator only metrics.summarize, which
-turns counts into a RunSummary.  count_kinds reads only `kind` of the same
-records and fails the same way.  The tone check is a two-pointer sweep over
-the transmissions and the tone spans, both sorted by start, so an audit
-takes O(n log n) time in the number of records.
+spans, the delivered frames, the drop and preemption counts and the count
+of each kind.  Any malformed record, a tx_end without its tx_start
+included, raises a ValueError that names its line.  scan_trace and
+replay_csv_row are load_records plus their own checks or counts.  The
+replay takes every count from the trace and shares with the simulator only
+metrics.summarize, which turns counts into a RunSummary.  count_kinds reads
+only `kind` of the same records and names the line it cannot read the same
+way.  The tone check is a two-pointer sweep over the transmissions and the
+tone spans, both sorted by start, so an audit takes O(n log n) time in the
+number of records.
+
+A run's in-memory trace, a trace.TraceLines, is folded at most once: the
+first load_records that succeeds keeps its Trace on the value, every later
+load_records returns that Trace and count_kinds copies its counts, so
+scan_trace, replay_csv_row and count_kinds of one run share one parse.  The
+fold still reads only the JSONL text.  Any other iterable (a list, which
+can be edited between calls, a file or a generator) is parsed on every
+call.  No audit writes a Trace, so sharing one cannot change a result.
 
 Command line:
 
@@ -36,13 +45,14 @@ from __future__ import annotations
 import heapq
 import json
 import sys
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Optional
 
 from .config import ConfigError, read_scenario
 from .medium import ABORTED, CLEAN, COLLIDED
 from .metrics import ACK_FTYPE, CLASSES, DATA_CLASS, DATA_FTYPE, summarize
 from .sweep import summary_row
+from .trace import TraceLines
 
 
 # Each allowed value maps to itself, so one lookup both checks a value and
@@ -58,8 +68,9 @@ CHUNK = 256
 _JSON_SPACE = " \t\n\r"  # the whitespace json.loads skips around a value
 
 
-@dataclass(slots=True)
-class TxRecord:
+class TxRecord(NamedTuple):
+    """One transmission: a tuple, so a Trace shared by audits cannot be
+    changed through a record that one of them returns."""
     tx: int
     ftype: str
     start: int
@@ -70,13 +81,19 @@ class TxRecord:
 
 @dataclass(slots=True)
 class Trace:
-    """One trace folded by load_records: all that the audits read of it."""
+    """One trace folded by load_records: all that the audits read of it.
+
+    A Trace kept on a TraceLines is shared by every audit of that run, and
+    no audit writes one: collect_transmissions and tone_spans return new
+    lists, and a TxRecord is a tuple.
+    """
     txs: dict[int, TxRecord]  # by tx id
     spans: list[tuple[int, int]]  # closed tone spans, sorted and disjoint
     tone_open: Optional[int]  # start of a tone span still open at the end
     delivered: list[tuple[int, int, str]]  # (t, arrival, class) per frame
     dropped: dict[str, int]  # per class
     preempted: int
+    kinds: dict[str, int]  # records per kind in first-seen order, as count_kinds
 
 
 def _malformed(lineno: int, exc: Exception) -> ValueError:
@@ -142,6 +159,10 @@ def _parse_lines(linenos: list[int], chunk: list[str]):
 def load_records(lines: Iterable[str]) -> Trace:
     """Fold a trace into a Trace, reading lines once.
 
+    A TraceLines is folded once: the Trace is kept on it and returned by
+    every later call.  A fold that raises is not kept, so each call raises
+    again.  Any other iterable is folded on every call.
+
     A malformed record raises ValueError naming its line.  That includes a
     tx_end without a tx_start, a tx_start or tx_end repeated for one tx id,
     a tx_start whose duration is below 1, a tone_on from a station that
@@ -149,20 +170,32 @@ def load_records(lines: Iterable[str]) -> Trace:
     start of its tone span, a tone span that starts before the one before
     it ended, an arrival of a frame still open, a delivered, dropped or
     preempted frame that is not open, a frame delivered, dropped or
-    preempted before it arrived, and an ftype, outcome or frame class that
-    the simulator never writes.  Records are otherwise free to go back
-    in time: the physics checks, not the parse, judge a record that is out
-    of order.
+    preempted before it arrived, an ftype, outcome or frame class that the
+    simulator never writes, and a kind that is a JSON array or object, which
+    cannot be counted.  Records are otherwise free to go back in time: the
+    physics checks, not the parse, judge a record that is out of order.
     """
+    if isinstance(lines, TraceLines):
+        if lines.fold is None:
+            lines.fold = _fold(lines)
+        return lines.fold
+    return _fold(lines)
+
+
+def _fold(lines: Iterable[str]) -> Trace:
+    """load_records' fold, which counts every record's kind, one it
+    otherwise ignores too."""
     txs: dict[int, TxRecord] = {}
     spans: list[tuple[int, int]] = []
     holders, start, preempted = set(), 0, 0  # tone holders, start of their span
     open_frames: dict[str, tuple[int, str]] = {}  # frame -> (arrival, class)
     delivered: list[tuple[int, int, str]] = []
     dropped = dict.fromkeys(CLASSES, 0)
+    kinds: dict[str, int] = {}
     for lineno, rec in _records(lines):
         try:
             kind, t = rec["kind"], rec["t"]
+            kinds[kind] = kinds.get(kind, 0) + 1
             if type(t) is not int:
                 raise TypeError(f"{kind} needs an integer t")
             if kind == "tx_start":
@@ -182,8 +215,11 @@ def load_records(lines: Iterable[str]) -> Trace:
                     raise ValueError(f"unknown outcome {rec['outcome']!r}")
                 if tx.end is not None:
                     raise ValueError(f"tx {tx.tx} already ended")
-                tx.end = t
-                tx.outcome = outcome
+                # an end as scheduled reuses that int: one object fewer per
+                # transmission in a Trace kept for the audits of its run
+                end = tx.scheduled_end if t == tx.scheduled_end else t
+                txs[tx.tx] = TxRecord(tx.tx, tx.ftype, tx.start, tx.scheduled_end,
+                                      end, outcome)
             elif kind == "arrival":
                 cls = _CLASSES.get(rec["cls"])
                 if cls is None:
@@ -230,23 +266,24 @@ def load_records(lines: Iterable[str]) -> Trace:
         except (KeyError, TypeError, ValueError) as exc:
             raise _malformed(lineno, exc) from exc
     return Trace(txs, spans, start if holders else None, delivered,
-                 dropped, preempted)
+                 dropped, preempted, kinds)
 
 
 def collect_transmissions(trace: Trace, duration: int) -> list[TxRecord]:
     """The transmissions sorted by start; one still in flight ends at duration,
     in a new record, so the Trace is left unchanged."""
     txs = [tx if tx.end is not None
-           else replace(tx, end=min(tx.scheduled_end, duration))
+           else tx._replace(end=min(tx.scheduled_end, duration))
            for tx in trace.txs.values()]
     txs.sort(key=lambda tx: (tx.start, tx.tx))
     return txs
 
 
 def tone_spans(trace: Trace, duration: int) -> list[tuple[int, int]]:
-    """Intervals with at least one tone asserted; one still open ends at duration."""
+    """Intervals with at least one tone asserted, in a new list; one still
+    open ends at duration."""
     if trace.tone_open is None:
-        return trace.spans
+        return list(trace.spans)
     return trace.spans + [(trace.tone_open, duration)]
 
 
@@ -328,6 +365,15 @@ def scan_trace(lines: Iterable[str], duration: int, warmup: int,
 
 
 def count_kinds(lines: Iterable[str]) -> dict[str, int]:
+    """Records per kind, in first-seen order.
+
+    A TraceLines already folded gives a copy of its Trace's counts.  Any
+    other call parses the lines and starts no fold: it reads only `kind`,
+    so a trace that load_records rejects, say for a tx_end without its
+    tx_start, is still counted.
+    """
+    if isinstance(lines, TraceLines) and lines.fold is not None:
+        return dict(lines.fold.kinds)
     counts: dict[str, int] = {}
     for lineno, rec in _records(lines):
         try:

@@ -72,7 +72,7 @@ def test_a_run_writes_each_record_once_through_emit_and_needs_no_escaping(
         original(self, line)
     monkeypatch.setattr(Tracer, "emit", counted)
     cfg = ScenarioConfig(n_regular=3, sim_duration=300_000, warmup=30_000)
-    lines = run_single(cfg.run_config(scheme, 3, 1, trace=True)).trace_lines
+    lines = list(run_single(cfg.run_config(scheme, 3, 1, trace=True)).trace_lines)
     assert lines and calls == lines
     # an id or constant that needed escaping would be re-encoded differently
     for line in lines:

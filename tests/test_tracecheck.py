@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import random
@@ -11,6 +12,7 @@ from btwifi import tracecheck
 from btwifi.config import ScenarioConfig
 from btwifi.simulation import run_single
 from btwifi.sweep import summary_row
+from btwifi.trace import TraceLines
 from btwifi.tracecheck import (collect_transmissions, count_kinds,
                                load_records, mark_overlaps, replay_csv_row,
                                scan_trace, tone_spans, union_measure)
@@ -279,6 +281,85 @@ def test_collect_transmissions_leaves_the_trace_unchanged():
     assert trace.txs[1].end is None
 
 
+# -- one fold per run's trace ---------------------------------------------------
+
+def audits(lines, scheme, m, seed):
+    """The criterion-6 flow on one trace: problems, replayed row, kind counts."""
+    return (scan_trace(lines, CFG.sim_duration, CFG.warmup),
+            replay_csv_row(lines, scheme, m, CFG.n_regular, seed,
+                           CFG.sim_duration, CFG.warmup, CFG.regular.payload_bits),
+            list(count_kinds(lines).items()))
+
+
+def test_a_runs_audits_share_one_parse(monkeypatch):
+    lines = traced_run("proposed", 2, seed=6).trace_lines
+    assert type(lines) is TraceLines
+    parses = []
+    records = tracecheck._records
+
+    def counted(lines):
+        parses.append(lines)
+        return records(lines)
+    monkeypatch.setattr(tracecheck, "_records", counted)
+    audits(lines, "proposed", 2, 6)
+    assert len(parses) == 1
+
+
+@pytest.mark.parametrize("scheme", ["legacy", "proposed"])
+def test_a_kept_fold_audits_as_a_fresh_parse(scheme):
+    res = traced_run(scheme, 3, seed=7)
+    lines = res.trace_lines
+    got = audits(lines, scheme, 3, 7)
+    assert got == audits(list(lines), scheme, 3, 7)  # kind counts in key order
+    assert got[0] == [] and got[1] == summary_row(res.summary)
+    assert load_records(lines) is lines.fold  # kept by the first audit
+    assert audits(lines, scheme, 3, 7) == got
+
+
+def test_a_list_edited_between_calls_is_read_again():
+    lines = synthetic(*regular_tx(1, 0, 50, "clean"))
+    assert list(load_records(lines).txs) == [1]
+    lines.extend(synthetic(*regular_tx(2, 60, 90, "clean")))
+    assert list(load_records(lines).txs) == [1, 2]
+    assert list(count_kinds(lines).items()) == [("tx_start", 2), ("tx_end", 2)]
+
+
+def test_a_fold_that_raises_is_not_kept():
+    good = synthetic(*regular_tx(1, 0, 50, "clean"), (60, "mystery", {}))
+    lines = TraceLines(good + synthetic(*regular_tx(2, 70, 90, "clean"))[1:])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^line 4: malformed record "
+                                             r"\(KeyError: 2\)"):
+            load_records(lines)
+        assert lines.fold is None
+    # count_kinds reads only `kind`, so it counts what the fold rejects
+    want = {"tx_start": 1, "tx_end": 2, "mystery": 1}
+    assert count_kinds(lines) == count_kinds(list(lines)) == want
+    # the fold counts a kind it otherwise ignores, as count_kinds does
+    trace = load_records(TraceLines(good))
+    assert trace.kinds == count_kinds(good) == {"tx_start": 1, "tx_end": 1,
+                                                "mystery": 1}
+
+
+@pytest.mark.parametrize("tone_open", [False, True])
+def test_no_audit_changes_a_kept_trace(tone_open):
+    res = traced_run("proposed", 3, seed=2)
+    tail = [json.dumps(dict(t=CFG.sim_duration - 1, kind="tone_on", sta="zz",
+                            fast=True))] if tone_open else []
+    lines = TraceLines(list(res.trace_lines) + tail)
+    trace = load_records(lines)
+    assert (trace.tone_open is not None) == tone_open and trace.spans
+    kept = copy.deepcopy(trace)
+    audits(lines, "proposed", 3, 2)
+    txs = collect_transmissions(trace, CFG.sim_duration)
+    with pytest.raises(AttributeError):
+        txs[0].end = txs[0].start
+    spans = tone_spans(trace, CFG.sim_duration)
+    spans.append((0, 1))
+    assert load_records(lines) is trace
+    assert trace == kept
+
+
 # -- the chunked parse against a line-by-line reference ---------------------------
 
 def per_line_records(lines):
@@ -322,7 +403,9 @@ OFF = '{"t":2,"kind":"tone_off","sta":"x","reason":"delivered"}'
 
 @pytest.fixture(scope="module")
 def real_lines():
-    lines = traced_run("proposed", 2, seed=3).trace_lines
+    # a list, parsed on every call: a run's TraceLines would keep its first
+    # fold, and a test that patches the parse would then read no line
+    lines = list(traced_run("proposed", 2, seed=3).trace_lines)
     assert len(lines) > 2 * tracecheck.CHUNK
     return lines
 
@@ -482,7 +565,7 @@ def trace_files(tmp_path_factory):
     trace with regular data put inside a tone."""
     cfg = ScenarioConfig(n_regular=3, sim_duration=1_000_000, warmup=100_000,
                          detection_delay=3)
-    lines = traced_run("proposed", 2, seed=1, cfg=cfg).trace_lines
+    lines = list(traced_run("proposed", 2, seed=1, cfg=cfg).trace_lines)
     d = tmp_path_factory.mktemp("traces")
     scenario = d / "scenario.cfg"
     scenario.write_text("[run]\nsim_duration_us = 1000000\nwarmup_us = 100000\n"
@@ -546,6 +629,8 @@ def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
             (k, json.dumps(dict(json.loads(lines[k]), ftype="beacon")),
              "unknown ftype 'beacon'"),
             (k, '{"t": 5, "tx": 1}', "KeyError: 'kind'"),
+            # the fold counts every kind, as count_kinds does
+            (k, '{"t": 5, "kind": []}', "unhashable type: 'list'"),
             (k, json.dumps(dict(json.loads(lines[k]), dur=0)),
              f"tx {first_tx} has duration 0, below 1"),
             (k, json.dumps(dict(json.loads(lines[k]), dur=-50)),
