@@ -15,6 +15,10 @@ and a heard tone edge against a regular backoff expiry.
 A cancelled event never fires, and no event ever moves: a new instant is
 a new event.  How the MAC arms its backoff expiries with them is stated
 in ``medium.AccessClass``.
+
+``Engine.close`` ends a run: it cancels and drops every pending event, so
+the callbacks they hold, bound methods of the run's stations and medium,
+no longer keep the run's objects in a reference cycle through the heap.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ class Engine:
         self.now: SimTime = 0
         self._heap: list[list] = []
         self._seq = 0
+        self._dropped = 0  # events still pending when close() dropped them
 
     def schedule(self, fire_at: SimTime, fn: Callable[[], None]) -> list:
         """Schedule fn at fire_at; returns the event, usable with cancel().
@@ -84,7 +89,20 @@ class Engine:
         return n
 
     def pending(self) -> int:
-        return sum(1 for ev in self._heap if ev[2] is not None)
+        """Events not yet fired or cancelled, those dropped by close() included."""
+        return self._dropped + sum(1 for ev in self._heap if ev[2] is not None)
+
+    def close(self) -> None:
+        """Cancel and drop every pending event; none of them ever fires.
+
+        An event may still be held by its owner (for ``cancel``), so each is
+        cancelled in place before the heap is dropped.  A second call finds
+        nothing left to drop.
+        """
+        self._dropped = self.pending()
+        for ev in self._heap:
+            ev[2] = None
+        self._heap.clear()
 
 
 class RngStream:

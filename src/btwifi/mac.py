@@ -247,3 +247,9 @@ class Station:
         self.head = None
         if self.source is not None:
             self.source.on_service_complete()
+
+    def close(self) -> None:
+        """Drop the source and the frame on air, which each hold this
+        station back; the run is over."""
+        self.source = None
+        self._cur_tx = None

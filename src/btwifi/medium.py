@@ -143,6 +143,12 @@ class AccessClass:
             if tone:
                 self.due = []
 
+    def close(self) -> None:
+        """Drop every station the class holds, waiting, armed or due."""
+        self.heap.clear()
+        self.alone.clear()
+        self.due = []
+
     def _pop_due(self) -> list:
         """Take the stations with the least counter off heap, in construction
         order; each keeps that counter, as an armed station does."""
@@ -207,6 +213,10 @@ class Medium:
     at the heard instant, detection_delay after the first assertion or the
     last release, before any listener is told.  A release followed by an
     assertion in the same microsecond does not change it.
+
+    Each station holds its medium, so the frames on air, the tone listeners
+    and the classes' stations tie the run in reference cycles; ``close``
+    drops them once the run is over.
     """
 
     def __init__(self, engine: Engine, detection_delay: SimTime, collector) -> None:
@@ -221,6 +231,14 @@ class Medium:
         self._tones: dict[str, SimTime] = {}  # sta -> assertion time
         self._released_at: SimTime = -1  # instant of the latest release
         self._last_edge: object = None  # the heard edge scheduled last
+
+    def close(self) -> None:
+        """Drop the frames on air, the tone listeners and every station a
+        class holds; the run is over."""
+        self._active.clear()
+        self.tone_listeners.clear()
+        for ac in self.classes:
+            ac.close()
 
     # -- main data channel ------------------------------------------------
 

@@ -4,6 +4,7 @@ import pytest
 
 from btwifi.engine import ContractViolation, Engine, RngStream
 from btwifi.medium import Medium, Transmission
+from test_ties import TieShuffledEngine
 
 
 def test_schedule_and_dispatch_at_fire_time():
@@ -86,6 +87,25 @@ def test_run_until_leaves_later_events_pending():
     assert eng.pending() == 1
     eng.run_until(40)
     assert fired == [10, 20, 30, 40]
+
+
+@pytest.mark.parametrize("make", [Engine, lambda: TieShuffledEngine(0)],
+                         ids=["fifo", "tie_shuffled"])
+def test_a_closed_engine_fires_nothing_and_still_counts_what_was_pending(make):
+    eng = make()
+    fired = []
+    for t in (10, 20, 20, 30):
+        eng.schedule(t, lambda t=t: fired.append(t))
+    held = eng.schedule(40, lambda: fired.append(40))
+    eng.cancel(eng.schedule(50, lambda: fired.append(50)))
+    eng.run_until(10)
+    eng.close()
+    assert eng.pending() == 4  # at 20, 20, 30 and 40; not the cancelled one
+    assert eng.cancel(held) is False  # close cancelled it
+    assert eng.run_until(100) == 0
+    assert fired == [10] and eng.now == 100
+    eng.close()  # a second close drops nothing and forgets nothing
+    assert eng.pending() == 4
 
 
 def test_dispatch_times_are_nondecreasing():

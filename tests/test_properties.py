@@ -6,8 +6,9 @@ regular ack among them), small contention windows and retry limits, and a
 detection delay d of 0, 3, 34 (the URLLC AIFS) or 43 us.  Each run must
 balance its frame books, audit clean, replay to its own summary row and
 reproduce byte for byte; a legacy run must also not depend on the order
-of same-microsecond events.  derandomize=True draws the same examples on
-every run, so a failure always reproduces.
+of same-microsecond events, and no run may leave a reference cycle behind.
+derandomize=True draws the same examples on every run, so a failure always
+reproduces.
 """
 
 import json
@@ -20,6 +21,7 @@ from btwifi.simulation import run_single
 from btwifi.sweep import summary_row
 from btwifi.tracecheck import replay_csv_row, scan_trace
 from differential import draw_small, scenario
+from test_simulation import cyclic_garbage
 from test_ties import assert_order_free
 
 DEFAULTS = ScenarioConfig()
@@ -75,3 +77,12 @@ def test_small_runs_keep_every_contract(monkeypatch, scenario):
     assert summary_row(again.summary) == row and again.trace_lines == lines
     if scheme == "legacy":
         assert_order_free(monkeypatch, cfg, scheme, ms=(m,))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(small_scenarios())
+def test_small_runs_leave_no_reference_cycle(scenario):
+    cfg, scheme, m, seed = scenario
+    for trace in (False, True):
+        rc = cfg.run_config(scheme, m, seed, trace=trace)
+        assert cyclic_garbage(lambda: run_single(rc)) == 0, trace

@@ -1,15 +1,19 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
 import signal
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from btwifi.config import ScenarioConfig
 from btwifi.engine import ContractViolation
+from btwifi.mac import Station
+from btwifi.medium import AccessClass
 from btwifi.simulation import run_single
 from btwifi.sweep import SweepError, render_csv, run_sweep
 
@@ -237,3 +241,103 @@ def test_the_medium_reports_each_transmission_fact_once(monkeypatch, scheme):
     assert summary.regular_preempted == collector.preempted
     assert collector.collided["regular"] > 0
     assert (collector.preempted > 0) == (scheme == "proposed")
+
+
+# -- a finished run frees what it built ------------------------------------------
+
+def cyclic_garbage(fn) -> int:
+    """The objects that only the cyclic garbage collector could free once
+    fn() has returned; fn's result is dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("scheme, delay", [("legacy", 0), ("proposed", 0), ("proposed", 3),
+                                           ("proposed", 34), ("proposed", 50)])
+def test_a_run_leaves_no_reference_cycle(scheme, delay, trace):
+    cfg = ScenarioConfig(detection_delay=delay, sim_duration=50_000, warmup=5_000)
+    for m in (0, 1, 15, 40):
+        rc = cfg.run_config(scheme, m, 1, trace=trace)
+        assert cyclic_garbage(lambda: run_single(rc)) == 0, m
+
+
+def cut_records(cfg, scheme, m, t):
+    """The records of the run cut one microsecond after t, a run that must
+    leave no reference cycle."""
+    rc = replace(cfg, sim_duration=t + 1).run_config(scheme, m, 1, trace=True)
+    kept = []
+    assert cyclic_garbage(lambda: kept.append(run_single(rc).trace_lines)) == 0
+    return [json.loads(line) for line in kept[0]]
+
+
+def test_a_run_cut_mid_exchange_leaves_no_reference_cycle():
+    # Cut just after a no-backoff tone onset that falls on a frame on air:
+    # the run ends with that frame on air, the tone up and its heard busy
+    # edge d = 34 us away still pending.
+    cfg = ScenarioConfig(detection_delay=34, sim_duration=200_000, warmup=0)
+    on_air, onset = set(), None
+    lines = run_single(cfg.run_config("proposed", 5, 1, trace=True)).trace_lines
+    for r in map(json.loads, lines):
+        if r["kind"] == "tx_start":
+            on_air.add(r["tx"])
+        elif r["kind"] == "tx_end":
+            on_air.discard(r["tx"])
+        elif r["kind"] == "tone_on" and r["fast"] and on_air:
+            onset = r["t"]
+            break
+    assert onset is not None
+    records = cut_records(cfg, "proposed", 5, onset)
+    assert records[-1]["kind"] == "tone_on" and records[-1]["t"] == onset
+    ended = {r["tx"] for r in records if r["kind"] == "tx_end"}
+    assert any(r["kind"] == "tx_start" and r["tx"] not in ended for r in records)
+
+
+def test_a_run_cut_while_a_station_is_armed_leaves_no_reference_cycle():
+    # A lone station's first frame arrives on an idle channel, so the
+    # station arms alone on its own event; the run ends before it fires.
+    cfg = ScenarioConfig(n_regular=0, sim_duration=20_000, warmup=0)
+    first = json.loads(run_single(cfg.run_config("legacy", 1, 1, trace=True)).trace_lines[0])
+    assert first["kind"] == "arrival"
+    assert [r["kind"] for r in cut_records(cfg, "legacy", 1, first["t"])] == ["arrival"]
+
+
+# where a run raises: after the 20th ack start, with frames on air and
+# stations waiting; after a busy edge that leaves stations due on their
+# class's held event
+RAISE_AFTER = {"ack": (Station, "_start_ack", lambda self, calls: calls == 20),
+               "held": (AccessClass, "stop", lambda self, calls: bool(self.due))}
+
+
+@pytest.mark.parametrize("scheme, where", [("legacy", "ack"), ("proposed", "ack"),
+                                           ("legacy", "held")])
+def test_a_run_that_raises_leaves_no_reference_cycle(monkeypatch, scheme, where):
+    # The release runs in a finally: nothing is left once the exception is dropped.
+    owner, name, now = RAISE_AFTER[where]
+    original = getattr(owner, name)
+    calls = []
+
+    def failing(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        calls.append(name)
+        if now(self, len(calls)):
+            raise ContractViolation(f"synthetic failure in {name}")
+
+    monkeypatch.setattr(owner, name, failing)
+    rc = ScenarioConfig(detection_delay=3, sim_duration=1_000_000,
+                        warmup=0).run_config(scheme, 15, 1)
+    failures = []
+
+    def run():
+        try:
+            run_single(rc)
+        except ContractViolation as exc:
+            failures.append(str(exc))
+
+    assert cyclic_garbage(run) == 0
+    assert failures == [f"synthetic failure in {name}"]

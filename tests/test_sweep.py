@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,9 @@ from btwifi.engine import ContractViolation
 from btwifi.metrics import RunSummary
 from btwifi.simulation import run_single
 from btwifi.sweep import (CSV_COLUMNS, CSV_HEADER, expand_grid, render_csv,
-                          run_sweep, summary_row, trace_filename)
+                          run_sweep, summary_row, trace_filename, write_outputs)
+from test_pinned_grid import CONFIGS, PINS
+from test_simulation import cyclic_garbage
 
 QUICK = ScenarioConfig(n_regular=2, m_list=(0, 1), schemes=("legacy", "proposed"),
                        seeds=(1, 2), sim_duration=1_000_000, warmup=100_000)
@@ -365,6 +368,19 @@ def test_trace_files_hold_each_line_and_a_newline(tmp_path):
             assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
     # a run that writes no record leaves a file of one blank line
     assert (tmp_path / trace_filename("proposed", 0, 1, 1)).read_bytes() == b"\n"
+
+
+def test_a_traced_sweep_leaves_no_reference_cycle_and_keeps_its_pinned_bytes(tmp_path):
+    config = "detection_delay_3"
+    cfg = replace(CONFIGS[config], m_list=(1, 5), seeds=(1,))
+    out, trace_dir = tmp_path / "s.csv", tmp_path / "traces"
+    assert cyclic_garbage(lambda: write_outputs(cfg, str(out), trace_dir=str(trace_dir))) == 0
+    rows = out.read_text().splitlines()[1:]
+    for row, (scheme, m, seed) in zip(rows, expand_grid(cfg), strict=True):
+        trace = (trace_dir / trace_filename(scheme, cfg.n_regular, m, seed)).read_text()
+        assert trace.endswith("\n")
+        assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in (row, trace[:-1])) \
+            == PINS[config, scheme, m]
 
 
 def test_cli_curve_files(tmp_path):
