@@ -70,7 +70,7 @@ def run_single(cfg: RunConfig) -> RunResult:
                 in_flight[sta.traffic_class] += 1
         summary = collector.finalize(cfg.scheme, cfg.m_urllc, cfg.n_regular,
                                      cfg.seed, in_flight)
-        return RunResult(summary, TraceLines(collector.lines) if cfg.trace else None)
+        return RunResult(summary, collector.trace_lines() if cfg.trace else None)
     finally:
         engine.close()
         medium.close()

@@ -55,9 +55,11 @@ def _execute_point(args) -> RunSummary:
     result = run_single(run_cfg)
     if trace_path is not None:
         with open(trace_path, "w", encoding="utf-8") as fh:
-            # line by line, so no joined copy of the trace is held; the bytes
-            # are those of "\n".join(lines) + "\n", one blank line if empty
-            fh.writelines(f"{line}\n" for line in result.trace_lines or [""])
+            # a block at a time, so no joined copy of the trace is held; the
+            # bytes are those of "\n".join(lines) + "\n", one blank line if empty
+            for block in result.trace_lines.blocks or [""]:
+                fh.write(block)
+                fh.write("\n")
     return result.summary
 
 

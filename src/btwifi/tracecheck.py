@@ -6,13 +6,17 @@ busy time by interval union.  None of the simulator's internal flags are
 consulted, so this module can catch bookkeeping bugs the simulator itself
 cannot see.
 
-_records is the only place a trace line is parsed: CHUNK lines at a time,
+_records is the only place a trace line is parsed: a block of a
+trace.TraceLines at a time, or CHUNK lines at a time of any other iterable,
 with one json.loads under a guard that proves it reads what json.loads line
-by line would (see _parse_chunk), and line by line otherwise, so the first
-bad line is still the one named.  load_records folds its lines, read once,
-into a Trace of compact state: one TxRecord per transmission, the tone
-spans, the delivered frames, the drop and preemption counts and the count
-of each kind.  Any malformed record, a tx_end without its tx_start
+by line would (see _loads_joined), and line by line otherwise, so the first
+bad line is still the one named.  The lines of a block or a chunk are joined
+by ",\n", a block's with one str.replace of its newlines, and a block's
+line numbers are counted from its offset in the trace.
+
+load_records folds its lines, read once, into a Trace of compact state:
+one TxRecord per transmission, the tone spans, the delivered frames, the
+drop and preemption counts and the count of each kind.  Any malformed record, a tx_end without its tx_start
 included, raises a ValueError that names its line.  scan_trace and
 replay_csv_row are load_records plus their own checks or counts.  The
 replay takes every count from the trace and shares with the simulator only
@@ -46,6 +50,7 @@ import heapq
 import json
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .config import ConfigError, read_scenario
@@ -102,15 +107,28 @@ def _malformed(lineno: int, exc: Exception) -> ValueError:
 
 
 def _records(lines: Iterable[str]):
-    """(lineno, record) for each non-blank line, parsed CHUNK lines at a time.
+    """(lineno, record) for each non-blank line, parsed CHUNK lines at a time,
+    or a block at a time for a TraceLines.
 
     The records and the first error are those of json.loads line by line: a
     line it cannot read raises ValueError naming that line, after every
     record before it has been yielded.
     """
+    if isinstance(lines, TraceLines):
+        first = 1  # the line number of the block's first line
+        for block in lines.blocks:
+            n = block.count("\n") + 1
+            yield from _parse_block(first, n, block)
+            first += n
+    else:
+        yield from _line_records(lines, 1)
+
+
+def _line_records(lines: Iterable[str], first: int):
+    """_records of lines whose first line is line number first."""
     linenos: list[int] = []
     chunk: list[str] = []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(lines, first):
         if line.strip():
             linenos.append(lineno)
             chunk.append(line)
@@ -122,29 +140,51 @@ def _records(lines: Iterable[str]):
 
 
 def _parse_chunk(linenos: list[int], chunk: list[str]):
-    """The chunk's records from one json.loads of all its lines, when a guard
-    proves that this reads each line as one object; else line by line.
-
-    The guard is on the n lines, stripped and joined by ",\n": the text holds
-    n-1 newlines, n-1 "},\n{" seams, n "{" and n "}", and starts with "{" and
-    ends with "}".  A JSON string cannot hold a raw newline, so every newline
-    is a seam between two lines and every seam's braces are structural.  With
-    the first and the last character these are n braces of each kind, all
-    there are: no brace is inside a string, no object nests in another, and
-    the elements are exactly the lines, one object each.  Without the guard a
-    record split over two lines and two records on one line would make the
-    same number of elements and parse, where line by line both fail.
-    """
-    n = len(chunk)
+    """The chunk's records, from one json.loads when _loads_joined can read
+    the lines stripped; else line by line."""
     text = ",\n".join([line.strip(_JSON_SPACE) for line in chunk])
-    if (text[0] == "{" and text[-1] == "}" and text.count("\n") == n - 1
+    records = _loads_joined(text, len(chunk))
+    if records is None:
+        return _parse_lines(linenos, chunk)
+    return zip(linenos, records)
+
+
+def _parse_block(first: int, n: int, block: str):
+    """The records of a TraceLines block of n lines, from one json.loads
+    when _loads_joined can read the lines as they are; else the block's
+    lines go the way of any other lines, so a blank or padded line is
+    skipped or stripped and the first bad line is named."""
+    records = _loads_joined(block.replace("\n", ",\n"), n)
+    if records is None:
+        return _line_records(block.split("\n"), first)
+    return zip(range(first, first + n), records)
+
+
+def _loads_joined(text: str, n: int) -> Optional[list]:
+    """The n records of n lines joined by ",\n", from one json.loads of
+    text, when a guard proves that this reads each line as one object;
+    else None.
+
+    The guard is on text: it holds n-1 newlines, n-1 "},\n{" seams, n "{"
+    and n "}", and starts with "{" and ends with "}".  A JSON string cannot
+    hold a raw newline, so every newline is a seam between two lines and
+    every seam's braces are structural.  With the first and the last
+    character these are n braces of each kind, all there are: no brace is
+    inside a string, no object nests in another, and the elements are
+    exactly the lines, one object each.  Without the guard a record split
+    over two lines and two records on one line would make the same number
+    of elements and parse, where line by line both fail.  So the lines are
+    joined by ",\n" and never by ",": two lines that a string spans, such
+    as '{"a":"}' and '{"}', would then parse as one record.
+    """
+    if (text[:1] == "{" and text[-1:] == "}" and text.count("\n") == n - 1
             and text.count("},\n{") == n - 1
             and text.count("{") == n and text.count("}") == n):
         try:
-            return zip(linenos, json.loads(f"[{text}]"))
+            return json.loads(f"[{text}]")
         except (ValueError, RecursionError):
-            pass  # the parse below names the first line that fails
-    return _parse_lines(linenos, chunk)
+            pass  # the caller's parse line by line names the first that fails
+    return None
 
 
 def _parse_lines(linenos: list[int], chunk: list[str]):
@@ -275,7 +315,7 @@ def collect_transmissions(trace: Trace, duration: int) -> list[TxRecord]:
     txs = [tx if tx.end is not None
            else tx._replace(end=min(tx.scheduled_end, duration))
            for tx in trace.txs.values()]
-    txs.sort(key=lambda tx: (tx.start, tx.tx))
+    txs.sort(key=attrgetter("start", "tx"))
     return txs
 
 

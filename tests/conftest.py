@@ -74,7 +74,7 @@ class Bench:
         self.engine.run_until(self.duration if until is None else until)
 
     def events(self, kind=None):
-        recs = [json.loads(line) for line in self.collector.lines]
+        recs = [json.loads(line) for line in self.collector.trace_lines()]
         if kind is None:
             return recs
         return [r for r in recs if r["kind"] == kind]

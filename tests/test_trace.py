@@ -1,7 +1,9 @@
 """Tracer writes each record with a format string of its own kind; json.dumps
-of the same fields, in the same key order, is the oracle for every one."""
+of the same fields, in the same key order, is the oracle for every one.  A
+run's TraceLines reads as the lines it emitted, and keeps them as blocks."""
 
 import json
+import sys
 
 import pytest
 
@@ -9,7 +11,7 @@ from btwifi.config import ScenarioConfig
 from btwifi.mac import Frame
 from btwifi.medium import ABORTED, CLEAN, COLLIDED, Transmission
 from btwifi.simulation import run_single
-from btwifi.trace import Tracer
+from btwifi.trace import BLOCK, TraceLines, Tracer
 
 
 def dumps(**record):
@@ -56,9 +58,9 @@ def test_every_record_kind_matches_json_dumps():
          [dumps(t=5000, kind="dropped", sta="u0", frame="u0:2")]),
     ]
     for call, want in cases:
-        before = len(tr.lines)
+        before = len(tr.trace_lines())
         call()
-        assert tr.lines[before:] == want
+        assert list(tr.trace_lines())[before:] == want
 
 
 @pytest.mark.parametrize("scheme", ["legacy", "proposed"])
@@ -72,8 +74,38 @@ def test_a_run_writes_each_record_once_through_emit_and_needs_no_escaping(
         original(self, line)
     monkeypatch.setattr(Tracer, "emit", counted)
     cfg = ScenarioConfig(n_regular=3, sim_duration=300_000, warmup=30_000)
-    lines = list(run_single(cfg.run_config(scheme, 3, 1, trace=True)).trace_lines)
+    tl = run_single(cfg.run_config(scheme, 3, 1, trace=True)).trace_lines
+    lines = list(tl)
     assert lines and calls == lines
     # an id or constant that needed escaping would be re-encoded differently
     for line in lines:
         assert json.dumps(json.loads(line), separators=(",", ":")) == line
+    # the TraceLines reads as its lines: over two blocks and a short last one
+    assert len(lines) > 2 * BLOCK and len(lines) % BLOCK and len(tl) == len(lines)
+    assert tl[0] == lines[0] and tl[-1] == lines[-1]
+    assert [tl[i] for i in range(-len(tl), len(tl))] == lines * 2
+    for i in (len(tl), -len(tl) - 1):
+        with pytest.raises(IndexError):
+            tl[i]
+    again = TraceLines(lines)
+    assert again == tl and again.blocks == tl.blocks
+    assert TraceLines(lines[:-1]) != tl
+    assert TraceLines(lines[:-1] + [lines[-1] + " "]) != tl
+
+
+def test_trace_lines_refuse_a_line_that_holds_a_newline():
+    assert list(TraceLines(["{}", "", " {} "])) == ["{}", "", " {} "]
+    assert list(TraceLines([])) == [] and list(TraceLines([""])) == [""]
+    for i in (0, 1, BLOCK + 4):
+        lines = ["{}"] * (BLOCK + 5)
+        lines[i] = "{}\n{}"
+        with pytest.raises(ValueError, match=f"^line {i + 1} holds a newline$"):
+            TraceLines(lines)
+
+
+def test_a_kept_trace_costs_little_more_than_its_text():
+    cfg = ScenarioConfig(sim_duration=2_000_000, warmup=200_000)
+    tl = run_single(cfg.run_config("proposed", 15, 1, trace=True)).trace_lines
+    text_bytes = sum(len(line) + 1 for line in tl)
+    assert text_bytes == sum(len(block) + 1 for block in tl.blocks)
+    assert sum(map(sys.getsizeof, tl.blocks)) <= 1.1 * text_bytes

@@ -281,6 +281,17 @@ def test_collect_transmissions_leaves_the_trace_unchanged():
     assert trace.txs[1].end is None
 
 
+def test_transmissions_are_sorted_by_start_then_id():
+    # the dict keeps tx ids in record order, which is not start order here
+    trace = load_records(synthetic(*regular_tx(5, 0, 30, "clean"),
+                                   *regular_tx(4, 10, 40, "collided"),
+                                   *regular_tx(3, 10, 40, "collided"),
+                                   *regular_tx(1, 50, 60, "clean")))
+    assert list(trace.txs) == [5, 4, 3, 1]
+    txs = collect_transmissions(trace, 100)
+    assert [(tx.start, tx.tx) for tx in txs] == [(0, 5), (10, 3), (10, 4), (50, 1)]
+
+
 # -- one fold per run's trace ---------------------------------------------------
 
 def audits(lines, scheme, m, seed):
@@ -394,6 +405,10 @@ def assert_parsed_as_reference(lines, monkeypatch):
         m.setattr(tracecheck, "_records", per_line_records)
         want = parsed(open_lines)
     assert got == want
+    if not callable(lines) and not any("\n" in line for line in lines):
+        # a TraceLines is parsed a block at a time, and built afresh for
+        # each parse, so that no kept fold stands in for one
+        assert parsed(lambda: TraceLines(lines)) == got
     return got
 
 
@@ -416,6 +431,45 @@ def test_real_traces_take_the_one_parse_per_chunk(real_lines, monkeypatch):
     monkeypatch.setattr(tracecheck, "_parse_lines", per_line)
     load_records(real_lines)
     assert sum(count_kinds(real_lines).values()) == len(real_lines)
+
+
+def test_real_blocks_take_the_one_parse_per_block(real_lines, monkeypatch):
+    lines = TraceLines(real_lines)
+    assert len(lines.blocks) > 2
+
+    def line_records(*_):
+        raise AssertionError("a block of a real trace was parsed line by line")
+    monkeypatch.setattr(tracecheck, "_line_records", line_records)
+    assert sum(count_kinds(lines).values()) == len(real_lines)
+    assert load_records(lines) is lines.fold
+
+
+def test_a_string_across_a_seam_is_named_as_a_list_names_it():
+    # Joined by "," the two lines read as one record: the guard counts the
+    # seam's braces, and only the newline of the ",\n" seam, which a JSON
+    # string cannot hold, makes the one json.loads fail.
+    lines = ['{"a":"}', '{"}']
+    assert json.loads("[" + ",".join(lines) + "]") == [{"a": "},{"}]
+    for given in (lines, TraceLines(lines)):
+        for parse in (load_records, count_kinds):
+            with pytest.raises(ValueError, match=r"^line 1: malformed record "
+                                                 r"\(JSONDecodeError"):
+                parse(given)
+
+
+def test_a_bad_record_after_blank_and_padded_lines_names_its_line(real_lines):
+    lines = list(real_lines[:300])  # over two blocks of a TraceLines
+    lines[3:3] = ["", "   "]
+    lines[10] = " " + lines[10] + "\t"
+    lines[270] = lines[270][:-1]
+    want = r"^line 271: malformed record \(JSONDecodeError"
+    for given in (lines, TraceLines(lines)):
+        for parse in (load_records, count_kinds):
+            with pytest.raises(ValueError, match=want):
+                parse(given)
+    # the same lines, but the last one whole, parse as the list does
+    lines[270] = real_lines[268]
+    assert load_records(TraceLines(lines)) == load_records(lines)
 
 
 def test_lines_as_many_as_their_elements_can_still_be_malformed(monkeypatch):
