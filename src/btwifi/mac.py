@@ -22,8 +22,7 @@ Timing model (integer microseconds):
   landing exactly on the boundary where the counter hits 0 does NOT
   cancel the transmission: the preceding slot was idle, so the station
   transmits and the overlap becomes a collision.  A heard tone on that
-  boundary does stop it.  ``Station.counter`` and ``Station.fire_at``
-  (None while not armed) read the result.
+  boundary does stop it.
 * After a clean data frame the responder acks SIFS later.  An ack
   timeout is scheduled only once the exchange has failed: at the end of a
   collided data frame, for ``end + SIFS + ack + guard``, and at the end of
@@ -119,21 +118,6 @@ class Station:
         self._counter = 0  # the backoff counter while not in the class heap
         self._cur_tx: Optional[Transmission] = None
         medium.enroll(self)  # sets ac (the AccessClass) and index
-
-    @property
-    def counter(self) -> int:
-        """Backoff slots left, as of the last freeze or arm."""
-        key = self.ac.key_of(self)
-        return self._counter if key is None else key - self.ac.offset
-
-    @property
-    def fire_at(self) -> Optional[SimTime]:
-        """Where the armed counter hits 0; None while not armed."""
-        ac = self.ac
-        if self in ac.alone:
-            return ac.alone[self][0]
-        key = ac.key_of(self)
-        return None if key is None or ac.since is None else ac.fire_at(key)
 
     # -- frame intake -------------------------------------------------------
 

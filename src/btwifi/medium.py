@@ -96,10 +96,6 @@ class AccessClass:
         """sta waits, not armed, with counter slots left; the class is frozen."""
         heapq.heappush(self.heap, (counter + self.offset, sta.index, sta))
 
-    def key_of(self, sta) -> int | None:
-        """sta's heap key; None if it is not in heap."""
-        return next((key for key, _, other in self.heap if other is sta), None)
-
     def fire_at(self, key: int) -> SimTime:
         """When the station with heap key key hits 0, while the class counts."""
         return self.since + self.aifs + (key - self.offset) * self.slot

@@ -16,18 +16,16 @@ keeps json.dumps as the oracle for every kind.
 The trace is kept as blocks of text, not as one string per record: the
 Tracer joins every BLOCK lines into one string with "\n" as it goes, so a
 record costs its bytes and a newline, about 71 B for a 70 B line, where a
-str of its own costs 49 B more.  A finished run's lines are a TraceLines,
-an immutable sequence over those blocks: iterating it splits one block at
-a time, tracecheck parses each block with one json.loads, and
-sweep writes a trace file one block at a time.  Since a TraceLines cannot
-change after the run, tracecheck.load_records keeps its fold of it on the
+str of its own costs 49 B more.  A finished run's lines are a TraceLines
+over those blocks, which iterates one block at a time and has a length;
+sweep writes a trace file one block at a time.  Since nothing changes a
+TraceLines after the run, tracecheck.load_records keeps its fold of it on the
 value and every later audit of the run reuses that one parse.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
-from operator import index
+from itertools import chain, repeat
 from typing import Iterable
 
 from .medium import ABORTED
@@ -39,60 +37,25 @@ BLOCK = 256  # lines per block of a TraceLines
 class TraceLines:
     """The JSONL lines of a finished run, in order, kept as blocks of text.
 
-    Each block is BLOCK lines joined by "\n", the last one BLOCK or fewer,
-    so line i, counted from 0, is line i % BLOCK of block i // BLOCK.  No
-    line holds a "\n": TraceLines(lines) refuses one, and the Tracer
-    writes none.
+    blocks holds n lines in all: each block is BLOCK lines joined by "\n",
+    the last one BLOCK or fewer, and no line holds a "\n".  The Tracer
+    cuts them so, and nothing changes them after; iterating splits one
+    block at a time.
 
     fold is the tracecheck.Trace that load_records folded from these lines,
     or None until a fold has succeeded; nothing else writes it.
     """
 
-    __slots__ = ("_blocks", "_len", "fold")
+    __slots__ = ("blocks", "_len", "fold")
 
-    def __init__(self, lines: Iterable[str] = ()) -> None:
-        blocks = []
-        n = 0
-        it = iter(lines)
-        while chunk := list(islice(it, BLOCK)):
-            block = "\n".join(chunk)
-            if block.count("\n") != len(chunk) - 1:
-                i = next(i for i, line in enumerate(chunk) if "\n" in line)
-                raise ValueError(f"line {n + i + 1} holds a newline")
-            blocks.append(block)
-            n += len(chunk)
-        self._blocks, self._len, self.fold = tuple(blocks), n, None
-
-    @classmethod
-    def _of_blocks(cls, blocks: Iterable[str], n: int) -> TraceLines:
-        """The TraceLines of blocks already cut as described, n lines in all."""
-        lines = cls.__new__(cls)
-        lines._blocks, lines._len, lines.fold = tuple(blocks), n, None
-        return lines
-
-    @property
-    def blocks(self) -> tuple[str, ...]:
-        """The blocks of text; joined by "\n" they are the whole trace."""
-        return self._blocks
+    def __init__(self, blocks: Iterable[str], n: int) -> None:
+        self.blocks, self._len, self.fold = tuple(blocks), n, None
 
     def __iter__(self):
-        return chain.from_iterable(map(str.split, self._blocks, repeat("\n")))
+        return chain.from_iterable(map(str.split, self.blocks, repeat("\n")))
 
     def __len__(self) -> int:
         return self._len
-
-    def __getitem__(self, i: int) -> str:
-        i = index(i)
-        if not -self._len <= i < self._len:
-            raise IndexError("TraceLines index out of range")
-        block, line = divmod(i % self._len, BLOCK)
-        return self._blocks[block].split("\n", line + 1)[line]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TraceLines):
-            return NotImplemented
-        # lines are cut into blocks one way, so equal lines make equal blocks
-        return self._blocks == other._blocks
 
     def __repr__(self) -> str:
         return f"TraceLines(<{self._len} lines>)"
@@ -118,7 +81,7 @@ class Tracer(MetricsCollector):
     def trace_lines(self) -> TraceLines:
         """Every line emitted so far; the Tracer may go on emitting."""
         blocks, pending = self._blocks, self._pending
-        return TraceLines._of_blocks(
+        return TraceLines(
             blocks + ["\n".join(pending)] if pending else blocks,
             len(blocks) * BLOCK + len(pending))
 

@@ -6,33 +6,30 @@ busy time by interval union.  None of the simulator's internal flags are
 consulted, so this module can catch bookkeeping bugs the simulator itself
 cannot see.
 
-_records is the only place a trace line is parsed: a block of a
-trace.TraceLines at a time, or CHUNK lines at a time of any other iterable,
-with one json.loads under a guard that proves it reads what json.loads line
-by line would (see _loads_joined), and line by line otherwise, so the first
-bad line is still the one named.  The lines of a block or a chunk are joined
-by ",\n", a block's with one str.replace of its newlines, and a block's
-line numbers are counted from its offset in the trace.
+_records is the only place a trace line is parsed, whatever holds the lines
+(a run's trace.TraceLines, a list or a file): CHUNK lines at a time, with
+one json.loads of the lines joined by ",\n" under a guard that proves it
+reads what json.loads line by line would (see _loads_joined), and line by
+line otherwise, so the first bad line is still the one named.
 
 load_records folds its lines, read once, into a Trace of compact state:
 one TxRecord per transmission, the tone spans, the delivered frames, the
-drop and preemption counts and the count of each kind.  Any malformed record, a tx_end without its tx_start
-included, raises a ValueError that names its line.  scan_trace and
-replay_csv_row are load_records plus their own checks or counts.  The
+drop and preemption counts and the count of each kind.  Any malformed
+record, a tx_end without its tx_start included, raises a ValueError that
+names its line.  scan_trace and replay_csv_row are load_records plus their
+own checks or counts, and count_kinds is its count of each kind.  The
 replay takes every count from the trace and shares with the simulator only
-metrics.summarize, which turns counts into a RunSummary.  count_kinds reads
-only `kind` of the same records and names the line it cannot read the same
-way.  The tone check is a two-pointer sweep over the transmissions and the
-tone spans, both sorted by start, so an audit takes O(n log n) time in the
-number of records.
+metrics.summarize, which turns counts into a RunSummary.  The tone check is
+a two-pointer sweep over the transmissions and the tone spans, both sorted
+by start, so an audit takes O(n log n) time in the number of records.
 
 A run's in-memory trace, a trace.TraceLines, is folded at most once: the
-first load_records that succeeds keeps its Trace on the value, every later
-load_records returns that Trace and count_kinds copies its counts, so
-scan_trace, replay_csv_row and count_kinds of one run share one parse.  The
-fold still reads only the JSONL text.  Any other iterable (a list, which
-can be edited between calls, a file or a generator) is parsed on every
-call.  No audit writes a Trace, so sharing one cannot change a result.
+first load_records that succeeds keeps its Trace on the value and every
+later one returns it, so scan_trace, replay_csv_row and count_kinds of one
+run share one parse.  The fold still reads only the JSONL text.  Any other
+iterable (a list, which can be edited between calls, a file or a
+generator) is parsed on every call.  No audit writes a Trace, so sharing
+one cannot change a result.
 
 Command line:
 
@@ -98,7 +95,7 @@ class Trace:
     delivered: list[tuple[int, int, str]]  # (t, arrival, class) per frame
     dropped: dict[str, int]  # per class
     preempted: int
-    kinds: dict[str, int]  # records per kind in first-seen order, as count_kinds
+    kinds: dict[str, int]  # records per kind, in first-seen order
 
 
 def _malformed(lineno: int, exc: Exception) -> ValueError:
@@ -107,28 +104,15 @@ def _malformed(lineno: int, exc: Exception) -> ValueError:
 
 
 def _records(lines: Iterable[str]):
-    """(lineno, record) for each non-blank line, parsed CHUNK lines at a time,
-    or a block at a time for a TraceLines.
+    """(lineno, record) for each non-blank line, parsed CHUNK lines at a time.
 
     The records and the first error are those of json.loads line by line: a
     line it cannot read raises ValueError naming that line, after every
     record before it has been yielded.
     """
-    if isinstance(lines, TraceLines):
-        first = 1  # the line number of the block's first line
-        for block in lines.blocks:
-            n = block.count("\n") + 1
-            yield from _parse_block(first, n, block)
-            first += n
-    else:
-        yield from _line_records(lines, 1)
-
-
-def _line_records(lines: Iterable[str], first: int):
-    """_records of lines whose first line is line number first."""
     linenos: list[int] = []
     chunk: list[str] = []
-    for lineno, line in enumerate(lines, first):
+    for lineno, line in enumerate(lines, 1):
         if line.strip():
             linenos.append(lineno)
             chunk.append(line)
@@ -147,17 +131,6 @@ def _parse_chunk(linenos: list[int], chunk: list[str]):
     if records is None:
         return _parse_lines(linenos, chunk)
     return zip(linenos, records)
-
-
-def _parse_block(first: int, n: int, block: str):
-    """The records of a TraceLines block of n lines, from one json.loads
-    when _loads_joined can read the lines as they are; else the block's
-    lines go the way of any other lines, so a blank or padded line is
-    skipped or stripped and the first bad line is named."""
-    records = _loads_joined(block.replace("\n", ",\n"), n)
-    if records is None:
-        return _line_records(block.split("\n"), first)
-    return zip(range(first, first + n), records)
 
 
 def _loads_joined(text: str, n: int) -> Optional[list]:
@@ -191,7 +164,7 @@ def _parse_lines(linenos: list[int], chunk: list[str]):
     for lineno, line in zip(linenos, chunk):
         try:
             rec = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # too deep is malformed too
             raise _malformed(lineno, exc) from exc
         yield lineno, rec
 
@@ -405,23 +378,9 @@ def scan_trace(lines: Iterable[str], duration: int, warmup: int,
 
 
 def count_kinds(lines: Iterable[str]) -> dict[str, int]:
-    """Records per kind, in first-seen order.
-
-    A TraceLines already folded gives a copy of its Trace's counts.  Any
-    other call parses the lines and starts no fold: it reads only `kind`,
-    so a trace that load_records rejects, say for a tx_end without its
-    tx_start, is still counted.
-    """
-    if isinstance(lines, TraceLines) and lines.fold is not None:
-        return dict(lines.fold.kinds)
-    counts: dict[str, int] = {}
-    for lineno, rec in _records(lines):
-        try:
-            kind = rec["kind"]
-            counts[kind] = counts.get(kind, 0) + 1
-        except (KeyError, TypeError) as exc:
-            raise _malformed(lineno, exc) from exc
-    return counts
+    """Records per kind, in first-seen order: the counts of load_records'
+    fold, so a trace it rejects raises the same error."""
+    return dict(load_records(lines).kinds)
 
 
 def replay_csv_row(lines: Iterable[str], scheme: str, m: int, n: int, seed: int,

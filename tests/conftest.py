@@ -83,3 +83,27 @@ class Bench:
 @pytest.fixture
 def bench():
     return Bench()
+
+
+def backoff(sta):
+    """(counter, fire_at) of sta: the backoff slots left as of its last
+    freeze or arm, and the instant its armed counter hits 0, None while it
+    is not armed.  Read from its AccessClass: a station armed alone, or
+    held due, keeps its counter and instant in ac.alone; one in the class
+    heap has counter key - offset, armed only while the class counts."""
+    ac = sta.ac
+    if sta in ac.alone:
+        return sta._counter, ac.alone[sta][0]
+    key = next((key for key, _, other in ac.heap if other is sta), None)
+    if key is None:
+        return sta._counter, None
+    return key - ac.offset, None if ac.since is None else ac.fire_at(key)
+
+
+def trace_lines(lines):
+    """The TraceLines of lines, built as a run builds its own: each line
+    emitted through a Tracer.  No line may hold a newline."""
+    tracer = Tracer(0, 1)
+    for line in lines:
+        tracer.emit(line)
+    return tracer.trace_lines()

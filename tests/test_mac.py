@@ -12,7 +12,7 @@ from btwifi.engine import ContractViolation, RngStream
 from btwifi.mac import EdcaParams, PhyConstants, Station, aifs
 from btwifi.traffic import ExpAfterSuccessSource, SaturatedSource
 
-from conftest import PHY, Bench
+from conftest import PHY, Bench, backoff
 
 
 def test_aifs_values():
@@ -78,6 +78,22 @@ def test_freeze_keeps_only_whole_elapsed_slots():
     starts = {e["sta"]: e["t"] for e in b.events("tx_start") if e["sta"] != "ap"}
     # resumes at 165: 165+43+27 (a spent partial slot would give 226).
     assert starts == {"x": 65, "r0": 235}
+
+    # The same for a station that waits in its class heap: a foreign frame
+    # holds [0, 100) when r0 (draw 5) gets its frame, so the idle edge at
+    # 100 starts its class, and a foreign burst [165, 265) lands 4 us into
+    # the third slot.  The class keeps 3 slots, not 2.
+    b = Bench()
+    a = b.add_regular("r0", draws=[5])
+    b.engine.schedule(0, lambda: b.medium.begin_transmission(
+        "x", "regular-data", 100, lambda o: None))
+    b.enqueue_at(10, a)
+    b.engine.schedule(165, lambda: b.medium.begin_transmission(
+        "y", "regular-data", 100, lambda o: None))
+    b.run(3000)
+    starts = {e["sta"]: e["t"] for e in b.events("tx_start") if e["sta"] != "ap"}
+    # resumes at 265: 265+43+27 (a spent partial slot would give 326).
+    assert starts == {"x": 0, "y": 165, "r0": 335}
 
 
 def test_idle_gap_shorter_than_aifs_never_decrements():
@@ -224,7 +240,7 @@ def test_counter_invariants_across_run():
         SaturatedSource(sta).start()
     b.run(100_000)
     for sta in stations:
-        assert sta.counter >= 0
+        assert backoff(sta)[0] >= 0
         # every draw respected the window invariant min((cw_min+1)*2^r-1, cw_max)
         for lo, hi in sta.rng.uniform_calls:
             assert lo == 0
@@ -245,19 +261,19 @@ def test_an_idle_edge_arms_every_waiting_station_with_one_event():
     for sta in stations:
         b.enqueue_at(10, sta)
     b.run(999)
-    assert all(sta.head is not None and sta.fire_at is None for sta in stations)
+    assert all(sta.head is not None and backoff(sta)[1] is None for sta in stations)
     scheduled = []
     schedule = b.engine.schedule
     b.engine.schedule = lambda t, fn: scheduled.append(t) or schedule(t, fn)
     b.run(1000)
     assert scheduled == [1052]
-    assert [sta.fire_at for sta in stations] == [1070, 1052, 1079, 1052, 1088]
+    assert [backoff(sta)[1] for sta in stations] == [1070, 1052, 1079, 1052, 1088]
     b.run(1052)
     starts = [(e["sta"], e["t"]) for e in b.events("tx_start")]
     assert starts == [("x", 0), ("r1", 1052), ("r3", 1052)]
     # the other three froze one slot down: 1043 to 1052 elapsed
-    assert [sta.counter for sta in stations] == [2, 1, 3, 1, 4]
-    assert [sta.fire_at for sta in stations] == [None] * 5
+    assert [backoff(sta)[0] for sta in stations] == [2, 1, 3, 1, 4]
+    assert [backoff(sta)[1] for sta in stations] == [None] * 5
 
 
 def test_a_busy_edge_freezes_no_waiting_station_one_by_one(monkeypatch):
@@ -278,11 +294,11 @@ def test_a_busy_edge_freezes_no_waiting_station_one_by_one(monkeypatch):
     b.engine.schedule(1020, lambda: b.medium.begin_transmission(
         "y", "regular-data", 100, lambda o: None))
     b.run(1000)
-    assert all(sta.fire_at is not None for sta in stations)
+    assert all(backoff(sta)[1] is not None for sta in stations)
     b.run(1020)
     assert freezes == []
-    assert all(sta.fire_at is None for sta in stations)
-    assert [sta.counter for sta in stations] == [i % 16 for i in range(40)]
+    assert all(backoff(sta)[1] is None for sta in stations)
+    assert [backoff(sta)[0] for sta in stations] == [i % 16 for i in range(40)]
 
 
 def test_a_zero_length_frame_on_the_zero_boundary_leaves_the_due_station_armed():
@@ -331,7 +347,7 @@ def test_a_held_due_station_starts_before_its_class_restarts_in_that_microsecond
     starts = [(e["sta"], e["t"], e["tx"]) for e in b.events("tx_start")]
     assert starts == [("x", 0, 0), ("y", 152, 1), ("r0", 152, 2)]
     assert 204 not in {t for _, t, _ in starts}
-    assert r1.counter == 1
+    assert backoff(r1)[0] == 1
 
 
 def test_only_a_contending_head_frame_waits_or_is_armed():
@@ -358,7 +374,7 @@ def test_only_a_contending_head_frame_waits_or_is_armed():
         now = b.engine.now
         heard.append(b.medium.tone_heard)
         for sta in b.stations.values():
-            fire_at = sta.fire_at
+            fire_at = backoff(sta)[1]
             armed = fire_at is not None
             alone = sta in sta.ac.alone
             seen.add((sta.traffic_class, sta.head is not None, armed))

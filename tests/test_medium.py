@@ -6,7 +6,7 @@ from btwifi.engine import ContractViolation, Engine
 from btwifi.medium import ABORTED, CLEAN, COLLIDED, Medium
 from btwifi.metrics import MetricsCollector
 
-from conftest import Bench
+from conftest import Bench, backoff
 
 
 class Sink(MetricsCollector):
@@ -391,7 +391,7 @@ def test_a_foreign_tone_cleared_in_a_sifs_gap_moves_no_start():
     assert r1.ac.since == u0.ac.since == 2050
     b.run(2059)
     assert r1.ac.since is None and u0.ac.since is None
-    assert (r1.counter, u1.counter) == (2, 1)
+    assert (backoff(r1)[0], backoff(u1)[0]) == (2, 1)
     b.run(10_000)
     starts = [(e["sta"], e["t"]) for e in b.events("tx_start")]
     assert starts == [("r0", 43), ("ap", 2059), ("u0", 2086), ("u1", 2329),

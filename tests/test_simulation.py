@@ -302,7 +302,8 @@ def test_a_run_cut_while_a_station_is_armed_leaves_no_reference_cycle():
     # A lone station's first frame arrives on an idle channel, so the
     # station arms alone on its own event; the run ends before it fires.
     cfg = ScenarioConfig(n_regular=0, sim_duration=20_000, warmup=0)
-    first = json.loads(run_single(cfg.run_config("legacy", 1, 1, trace=True)).trace_lines[0])
+    first = json.loads(next(iter(
+        run_single(cfg.run_config("legacy", 1, 1, trace=True)).trace_lines)))
     assert first["kind"] == "arrival"
     assert [r["kind"] for r in cut_records(cfg, "legacy", 1, first["t"])] == ["arrival"]
 

@@ -11,7 +11,8 @@ from btwifi.config import ScenarioConfig
 from btwifi.mac import Frame
 from btwifi.medium import ABORTED, CLEAN, COLLIDED, Transmission
 from btwifi.simulation import run_single
-from btwifi.trace import BLOCK, TraceLines, Tracer
+from btwifi.trace import BLOCK, Tracer
+from conftest import trace_lines
 
 
 def dumps(**record):
@@ -80,27 +81,14 @@ def test_a_run_writes_each_record_once_through_emit_and_needs_no_escaping(
     # an id or constant that needed escaping would be re-encoded differently
     for line in lines:
         assert json.dumps(json.loads(line), separators=(",", ":")) == line
-    # the TraceLines reads as its lines: over two blocks and a short last one
+    # the TraceLines reads as its lines, cut into blocks of BLOCK lines:
+    # over two blocks and a short last one
     assert len(lines) > 2 * BLOCK and len(lines) % BLOCK and len(tl) == len(lines)
-    assert tl[0] == lines[0] and tl[-1] == lines[-1]
-    assert [tl[i] for i in range(-len(tl), len(tl))] == lines * 2
-    for i in (len(tl), -len(tl) - 1):
-        with pytest.raises(IndexError):
-            tl[i]
-    again = TraceLines(lines)
-    assert again == tl and again.blocks == tl.blocks
-    assert TraceLines(lines[:-1]) != tl
-    assert TraceLines(lines[:-1] + [lines[-1] + " "]) != tl
-
-
-def test_trace_lines_refuse_a_line_that_holds_a_newline():
-    assert list(TraceLines(["{}", "", " {} "])) == ["{}", "", " {} "]
-    assert list(TraceLines([])) == [] and list(TraceLines([""])) == [""]
-    for i in (0, 1, BLOCK + 4):
-        lines = ["{}"] * (BLOCK + 5)
-        lines[i] = "{}\n{}"
-        with pytest.raises(ValueError, match=f"^line {i + 1} holds a newline$"):
-            TraceLines(lines)
+    assert tl.blocks == tuple("\n".join(lines[i:i + BLOCK])
+                              for i in range(0, len(lines), BLOCK))
+    assert trace_lines(lines).blocks == tl.blocks
+    assert list(trace_lines(lines[:-1])) == lines[:-1]
+    assert list(trace_lines([])) == [] and len(trace_lines([])) == 0
 
 
 def test_a_kept_trace_costs_little_more_than_its_text():

@@ -16,6 +16,7 @@ from btwifi.trace import TraceLines
 from btwifi.tracecheck import (collect_transmissions, count_kinds,
                                load_records, mark_overlaps, replay_csv_row,
                                scan_trace, tone_spans, union_measure)
+from conftest import trace_lines
 
 CFG = ScenarioConfig(n_regular=3, sim_duration=2_000_000, warmup=200_000)
 
@@ -126,9 +127,9 @@ def test_legacy_traces_have_no_tone_or_preemption_events():
 def test_trace_is_byte_identical_across_reruns():
     a = traced_run("proposed", 3, seed=9)
     b = traced_run("proposed", 3, seed=9)
-    assert a.trace_lines == b.trace_lines
+    assert a.trace_lines.blocks == b.trace_lines.blocks
     c = traced_run("proposed", 3, seed=10)
-    assert a.trace_lines != c.trace_lines
+    assert a.trace_lines.blocks != c.trace_lines.blocks
 
 
 # -- the tone check against the quadratic oracle ------------------------------
@@ -337,17 +338,15 @@ def test_a_list_edited_between_calls_is_read_again():
 
 def test_a_fold_that_raises_is_not_kept():
     good = synthetic(*regular_tx(1, 0, 50, "clean"), (60, "mystery", {}))
-    lines = TraceLines(good + synthetic(*regular_tx(2, 70, 90, "clean"))[1:])
+    lines = trace_lines(good + synthetic(*regular_tx(2, 70, 90, "clean"))[1:])
     for _ in range(2):
-        with pytest.raises(ValueError, match=r"^line 4: malformed record "
-                                             r"\(KeyError: 2\)"):
-            load_records(lines)
-        assert lines.fold is None
-    # count_kinds reads only `kind`, so it counts what the fold rejects
-    want = {"tx_start": 1, "tx_end": 2, "mystery": 1}
-    assert count_kinds(lines) == count_kinds(list(lines)) == want
-    # the fold counts a kind it otherwise ignores, as count_kinds does
-    trace = load_records(TraceLines(good))
+        for parse in (load_records, count_kinds):
+            with pytest.raises(ValueError, match=r"^line 4: malformed record "
+                                                 r"\(KeyError: 2\)"):
+                parse(lines)
+            assert lines.fold is None
+    # count_kinds is the fold's count, a kind it otherwise ignores included
+    trace = load_records(trace_lines(good))
     assert trace.kinds == count_kinds(good) == {"tx_start": 1, "tx_end": 1,
                                                 "mystery": 1}
 
@@ -357,7 +356,7 @@ def test_no_audit_changes_a_kept_trace(tone_open):
     res = traced_run("proposed", 3, seed=2)
     tail = [json.dumps(dict(t=CFG.sim_duration - 1, kind="tone_on", sta="zz",
                             fast=True))] if tone_open else []
-    lines = TraceLines(list(res.trace_lines) + tail)
+    lines = trace_lines(list(res.trace_lines) + tail)
     trace = load_records(lines)
     assert (trace.tone_open is not None) == tone_open and trace.spans
     kept = copy.deepcopy(trace)
@@ -406,9 +405,9 @@ def assert_parsed_as_reference(lines, monkeypatch):
         want = parsed(open_lines)
     assert got == want
     if not callable(lines) and not any("\n" in line for line in lines):
-        # a TraceLines is parsed a block at a time, and built afresh for
-        # each parse, so that no kept fold stands in for one
-        assert parsed(lambda: TraceLines(lines)) == got
+        # a run's TraceLines holds no line with a newline; one is built
+        # afresh for each parse, so that no kept fold stands in for one
+        assert parsed(lambda: trace_lines(lines)) == got
     return got
 
 
@@ -431,15 +430,7 @@ def test_real_traces_take_the_one_parse_per_chunk(real_lines, monkeypatch):
     monkeypatch.setattr(tracecheck, "_parse_lines", per_line)
     load_records(real_lines)
     assert sum(count_kinds(real_lines).values()) == len(real_lines)
-
-
-def test_real_blocks_take_the_one_parse_per_block(real_lines, monkeypatch):
-    lines = TraceLines(real_lines)
-    assert len(lines.blocks) > 2
-
-    def line_records(*_):
-        raise AssertionError("a block of a real trace was parsed line by line")
-    monkeypatch.setattr(tracecheck, "_line_records", line_records)
+    lines = trace_lines(real_lines)  # a run's trace takes the same path
     assert sum(count_kinds(lines).values()) == len(real_lines)
     assert load_records(lines) is lines.fold
 
@@ -450,7 +441,7 @@ def test_a_string_across_a_seam_is_named_as_a_list_names_it():
     # string cannot hold, makes the one json.loads fail.
     lines = ['{"a":"}', '{"}']
     assert json.loads("[" + ",".join(lines) + "]") == [{"a": "},{"}]
-    for given in (lines, TraceLines(lines)):
+    for given in (lines, trace_lines(lines)):
         for parse in (load_records, count_kinds):
             with pytest.raises(ValueError, match=r"^line 1: malformed record "
                                                  r"\(JSONDecodeError"):
@@ -463,13 +454,13 @@ def test_a_bad_record_after_blank_and_padded_lines_names_its_line(real_lines):
     lines[10] = " " + lines[10] + "\t"
     lines[270] = lines[270][:-1]
     want = r"^line 271: malformed record \(JSONDecodeError"
-    for given in (lines, TraceLines(lines)):
+    for given in (lines, trace_lines(lines)):
         for parse in (load_records, count_kinds):
             with pytest.raises(ValueError, match=want):
                 parse(given)
     # the same lines, but the last one whole, parse as the list does
     lines[270] = real_lines[268]
-    assert load_records(TraceLines(lines)) == load_records(lines)
+    assert load_records(trace_lines(lines)) == load_records(lines)
 
 
 def test_lines_as_many_as_their_elements_can_still_be_malformed(monkeypatch):
@@ -546,8 +537,7 @@ def test_a_fault_in_a_record_comes_before_a_later_json_error(real_lines,
     lines[5] = '{"t":5,"kind":"tx_end","tx":999999,"outcome":"clean"}'
     lines[30] = lines[30][:-1]
     got = assert_parsed_as_reference(lines, monkeypatch)
-    assert got[0] == "line 6: malformed record (KeyError: 999999)"
-    assert got[1].startswith("line 31: malformed record (JSONDecodeError")
+    assert got == ["line 6: malformed record (KeyError: 999999)"] * 2
 
 
 def test_a_file_parses_as_its_list_of_lines(real_lines, tmp_path, monkeypatch):
@@ -683,7 +673,7 @@ def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
             (k, json.dumps(dict(json.loads(lines[k]), ftype="beacon")),
              "unknown ftype 'beacon'"),
             (k, '{"t": 5, "tx": 1}', "KeyError: 'kind'"),
-            # the fold counts every kind, as count_kinds does
+            # the fold counts every kind, and a list cannot be a dict key
             (k, '{"t": 5, "kind": []}', "unhashable type: 'list'"),
             (k, json.dumps(dict(json.loads(lines[k]), dur=0)),
              f"tx {first_tx} has duration 0, below 1"),
@@ -709,24 +699,23 @@ def test_cli_exits_2_on_unreadable_or_malformed_traces(trace_files, tmp_path):
             (d, at_early("preempted"), f"preempted at {early}, before its arrival"),
             # a preempted frame stays open, but it must be one
             (k, '{"t": 5, "kind": "preempted", "sta": "r0", "frame": "nope"}',
-             "KeyError: 'nope'")):
+             "KeyError: 'nope'"),
+            # nested deeper than the interpreter's recursion limit
+            (k, "[" * 100_000 + "]" * 100_000, "RecursionError")):
         malformed = tmp_path / "malformed.jsonl"
         malformed.write_text("\n".join(lines[:i] + [broken] + lines[i + 1:]))
         out = tracecheck_cli(str(malformed))
         assert out.returncode == 2, what
         assert f"{malformed}: line {i + 1}: malformed record" in out.stderr
-        assert what in out.stderr
-        # the replay parses through the same fold, so it fails the same way
+        assert what in out.stderr and "Traceback" not in out.stderr
+        # the replay and count_kinds parse through the same fold, so they
+        # fail the same way
+        given = malformed.read_text().splitlines()
         with pytest.raises(ValueError, match=f"^line {i + 1}: malformed record"):
-            replay_csv_row(malformed.read_text().splitlines(), "proposed", 2,
-                           3, 1, 1_000_000, 100_000, CFG.regular.payload_bits)
-
-    # count_kinds reads only `kind`, but names the line it cannot read
-    for broken, what in ((lines[k][:-5], "JSONDecodeError"),
-                         ('{"t": 5, "tx": 1}', "KeyError: 'kind'")):
-        with pytest.raises(ValueError,
-                           match=rf"^line {k + 1}: malformed record \({what}"):
-            count_kinds(lines[:k] + [broken] + lines[k + 1:])
+            replay_csv_row(given, "proposed", 2, 3, 1, 1_000_000, 100_000,
+                           CFG.regular.payload_bits)
+        with pytest.raises(ValueError, match=f"^line {i + 1}: malformed record"):
+            count_kinds(given)
 
 
 def test_cli_exits_2_without_a_verdict(trace_files, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from btwifi.mac import Station
 from btwifi.medium import AccessClass
-from conftest import Bench
+from conftest import Bench, backoff
 
 
 def tone_union(bench):
@@ -132,12 +132,12 @@ def test_the_tone_arms_no_listener_that_it_freezes_in_the_same_microsecond(
 
     def recording(fn):
         def wrapper(obj, t, *args, **kwargs):
-            before = [sta.fire_at for sta in stations]
+            before = [backoff(sta)[1] for sta in stations]
             fn(obj, t, *args, **kwargs)
             for sta, was in zip(stations, before):
-                if was is None and sta.fire_at is not None:
+                if was is None and backoff(sta)[1] is not None:
                     armed_at[sta.sta_id] = t
-                elif was is not None and sta.fire_at is None \
+                elif was is not None and backoff(sta)[1] is None \
                         and armed_at.get(sta.sta_id) == t:
                     wasted.append((t, sta.sta_id))
         return wrapper
@@ -180,13 +180,13 @@ def test_a_cohort_that_loses_its_earliest_member_to_the_tone_keeps_its_rank():
         1052, lambda: busy_at_probe.append(
             len(b.events("tx_start")) > len(b.events("tx_end")))))
     b.run(1001)
-    assert r0.fire_at is None and r1.fire_at is None and u1.fire_at == 1052
+    assert [backoff(sta)[1] for sta in (r0, r1, u1)] == [None, None, 1052]
     b.run(1100)
     assert [e["fast"] for e in b.events("tone_on")] == [False]
     starts = [(e["sta"], e["t"]) for e in b.events("tx_start")]
     assert starts == [("x", 0), ("u1", 1052)]
     assert busy_at_probe == [True]
-    assert (r0.counter, r1.counter) == (0, 2)
+    assert (backoff(r0)[0], backoff(r1)[0]) == (0, 2)
 
 
 def test_a_tone_clear_arms_every_waiting_listener_with_one_event():
@@ -202,13 +202,13 @@ def test_a_tone_clear_arms_every_waiting_listener_with_one_event():
     for sta in stations:
         b.enqueue_at(10, sta)
     b.run(999)
-    assert all(sta.head is not None and sta.fire_at is None for sta in stations)
+    assert all(sta.head is not None and backoff(sta)[1] is None for sta in stations)
     scheduled = []
     schedule = b.engine.schedule
     b.engine.schedule = lambda t, fn: scheduled.append(t) or schedule(t, fn)
     b.run(1000)
     assert scheduled == [1052]
-    assert [sta.fire_at for sta in stations] == [1070, 1052, 1079, 1052, 1088]
+    assert [backoff(sta)[1] for sta in stations] == [1070, 1052, 1079, 1052, 1088]
     b.run(1052)
     starts = [(e["sta"], e["t"]) for e in b.events("tx_start")]
     assert starts == [("r1", 1052), ("r3", 1052)]
@@ -228,7 +228,7 @@ def test_a_tone_heard_after_a_busy_edge_on_the_zero_boundary_stops_the_start():
     b.engine.schedule(1043, lambda: b.medium.busy_tone_set("z", True))
     b.engine.schedule(3000, lambda: b.medium.busy_tone_set("z", False))
     b.run(1043)
-    assert r0.fire_at is None and r0.counter == 0
+    assert backoff(r0) == (0, None)
     b.run(5000)
     starts = [(e["sta"], e["t"]) for e in b.events("tx_start") if e["sta"] != "ap"]
     assert starts == [("x", 0), ("y", 1043), ("r0", 3043)]
@@ -253,7 +253,7 @@ def test_the_boundary_rule_holds_for_both_arm_kinds(arm, tone):
         b.engine.schedule(1000, lambda: b.medium.busy_tone_set("z", False))
     b.enqueue_at(10 if arm == "class" else 100, r0)
     b.run(187)
-    assert (r0 in r0.ac.alone) == (arm == "alone") and r0.fire_at == 188
+    assert (r0 in r0.ac.alone) == (arm == "alone") and backoff(r0)[1] == 188
     b.run(188)
     starts = [(e["sta"], e["t"]) for e in b.events("tx_start")]
     if not tone:
@@ -263,7 +263,7 @@ def test_the_boundary_rule_holds_for_both_arm_kinds(arm, tone):
             ["collided", "collided"]
         return
     assert starts == [("w", 0), ("x", 188)]
-    assert r0.fire_at is None and r0.counter == 0
+    assert backoff(r0) == (0, None)
     assert r0 not in r0.ac.alone and r0.ac.due == []
     b.run(5000)
     starts = [(e["sta"], e["t"]) for e in b.events("tx_start") if e["sta"] != "ap"]
