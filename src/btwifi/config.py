@@ -17,9 +17,10 @@ Sections and keys are listed in SCHEMA below; an empty file yields the
 full default scenario.  A SCHEMA row's parser checks its key's own range;
 validate's cross-value rules run once every line is valid.
 
-This module owns every configuration name: the SCHEMES, the scenario
-(ScenarioConfig) and one grid point of it (RunConfig, the scenario plus a
-scheme, M, seed and trace flag), which simulation.run_single runs.
+This module, which imports only engine and metrics, owns every configuration
+name: the SCHEMES, the parameter records (PhyConstants, EdcaParams), the
+scenario (ScenarioConfig) and one grid point of it (RunConfig, the scenario
+plus a scheme, M, seed and trace flag), which simulation.run_single runs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .mac import EdcaParams, PhyConstants
+from .engine import SimTime
 from .metrics import CLASSES
 
 SCHEMES = ("legacy", "proposed")  # plain EDCA; EDCA with the busy tone
@@ -38,6 +39,24 @@ MAX_REGULAR_AIRTIME_US = 5484
 
 DEFAULT_M_LIST = (1, 5, 10, 15, 20, 25, 30, 35, 40)
 DEFAULT_SEEDS = tuple(range(1, 11))
+
+
+@dataclass(frozen=True, slots=True)
+class PhyConstants:
+    slot_time: SimTime = 9
+    sifs: SimTime = 16
+    ack_timeout_guard: SimTime = 9
+
+
+@dataclass(frozen=True, slots=True)
+class EdcaParams:
+    aifsn: int
+    cw_min: int
+    cw_max: int
+    retry_limit: int
+    data_airtime: SimTime
+    ack_airtime: SimTime
+    payload_bits: int
 
 
 @dataclass(slots=True)

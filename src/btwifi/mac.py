@@ -59,26 +59,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .config import EdcaParams, PhyConstants
 from .engine import ContractViolation, RngStream, SimTime
-from .medium import CLEAN, COLLIDED, Medium, Transmission
-from .metrics import ACK_FTYPE, DATA_FTYPE
-
-@dataclass(frozen=True, slots=True)
-class PhyConstants:
-    slot_time: SimTime = 9
-    sifs: SimTime = 16
-    ack_timeout_guard: SimTime = 9
-
-
-@dataclass(frozen=True, slots=True)
-class EdcaParams:
-    aifsn: int
-    cw_min: int
-    cw_max: int
-    retry_limit: int
-    data_airtime: SimTime
-    ack_airtime: SimTime
-    payload_bits: int
+from .medium import Medium, Transmission
+from .metrics import ACK_FTYPE, CLEAN, COLLIDED, DATA_FTYPE
 
 
 def aifs(params: EdcaParams, phy: PhyConstants) -> SimTime:

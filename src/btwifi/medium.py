@@ -27,10 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .engine import ContractViolation, Engine, SimTime
-
-CLEAN = "clean"
-COLLIDED = "collided"
-ABORTED = "aborted"
+from .metrics import ABORTED, CLEAN, COLLIDED
 
 
 @dataclass(slots=True)

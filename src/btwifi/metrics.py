@@ -16,20 +16,25 @@ starts and ends give collisions, preemptions and busy time.
 summarize is the only code that turns a run's counts into a RunSummary.
 tracecheck.replay_csv_row takes its counts from the trace alone and shares
 only this arithmetic with the collector.
+
+It also owns what the simulator and tracecheck share, and imports only
+engine: the record vocabulary (CLASSES, the frame types and the outcomes)
+and the row format (CSV_COLUMNS, CSV_HEADER, summary_row, format_number).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Optional
 
 from .engine import ContractViolation, SimTime
-from .medium import ABORTED, COLLIDED
 
 CLASSES = ("regular", "urllc")  # the traffic classes, each counted apart
 DATA_FTYPE = {cls: f"{cls}-data" for cls in CLASSES}  # a class's data frame type
 DATA_CLASS = {ftype: cls for cls, ftype in DATA_FTYPE.items()}  # its inverse
 ACK_FTYPE = "ack"  # the responder's ack, for a data frame of either class
+CLEAN, COLLIDED, ABORTED = "clean", "collided", "aborted"  # a transmission's outcomes
 
 
 def nearest_rank(sorted_samples: list, pct: int):
@@ -41,8 +46,8 @@ def nearest_rank(sorted_samples: list, pct: int):
 
 @dataclass(slots=True)
 class RunSummary:
-    """The summary CSV's columns (sweep.CSV_COLUMNS) in order, each named by
-    its field or its metadata's "column".  Per-frame facts are in the trace."""
+    """The summary CSV's columns (CSV_COLUMNS) in order, each named by its
+    field or its metadata's "column".  Per-frame facts are in the trace."""
     scheme: str
     m_urllc: int = field(metadata={"column": "M"})
     n_regular: int = field(metadata={"column": "N"})
@@ -58,6 +63,25 @@ class RunSummary:
     channel_busy_fraction: float
     sim_duration: SimTime = field(metadata={"column": "sim_duration_us"})
     warmup: SimTime = field(metadata={"column": "warmup_us"})
+
+
+# (CSV column, RunSummary attribute), in column order
+CSV_COLUMNS = tuple((f.metadata.get("column", f.name), f.name) for f in fields(RunSummary))
+CSV_HEADER = ",".join(column for column, _ in CSV_COLUMNS)
+_row_fields = attrgetter(*(attr for _, attr in CSV_COLUMNS))
+
+
+def format_number(value) -> str:
+    """A value as the summary CSV and the curve files write it."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
+
+
+def summary_row(s: RunSummary) -> str:
+    return ",".join(map(format_number, _row_fields(s)))
 
 
 class MetricsCollector:

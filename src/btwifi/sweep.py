@@ -4,26 +4,19 @@ A sweep is the full (scheme x M x seed) grid from a scenario config.  Each
 grid point is one self-contained run; points may execute on a worker pool,
 and the summary CSV is identical regardless of execution order because
 rows are a pure function of (config, scheme, M, seed) and get sorted
-before writing.
+before writing; metrics formats each row and trace writes each trace file.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import fields
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
 from .config import ScenarioConfig
-from .metrics import RunSummary
+from .metrics import CSV_HEADER, RunSummary, format_number, summary_row
 from .simulation import run_single
-
-# (CSV column, RunSummary attribute), in column order
-CSV_COLUMNS = tuple((f.metadata.get("column", f.name), f.name) for f in fields(RunSummary))
-CSV_HEADER = ",".join(column for column, _ in CSV_COLUMNS)
-_row_fields = attrgetter(*(attr for _, attr in CSV_COLUMNS))
 
 # curve file metric -> the RunSummary attribute it averages
 CURVES = {"urllc_delay_mean_us": "urllc_delay_mean",
@@ -54,12 +47,7 @@ def _execute_point(args) -> RunSummary:
     run_cfg, trace_path = args
     result = run_single(run_cfg)
     if trace_path is not None:
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            # a block at a time, so no joined copy of the trace is held; the
-            # bytes are those of "\n".join(lines) + "\n", one blank line if empty
-            for block in result.trace_lines.blocks or [""]:
-                fh.write(block)
-                fh.write("\n")
+        result.trace_lines.write(trace_path)
     return result.summary
 
 
@@ -154,18 +142,6 @@ def write_outputs(cfg: ScenarioConfig, out: str, jobs: int = 1,
 
 # -- CSV / curve files ------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
-def summary_row(s: RunSummary) -> str:
-    return ",".join(map(_fmt, _row_fields(s)))
-
-
 def render_csv(summaries: list[RunSummary]) -> str:
     lines = [CSV_HEADER]
     lines.extend(summary_row(s) for s in summaries)
@@ -201,4 +177,4 @@ def write_curve_files(summaries: list[RunSummary], out_dir: str) -> None:
                 fh.write(f"# M  {name} ({scheme}, mean over seeds)\n")
                 for m in sorted(by_m):
                     vals = by_m[m]
-                    fh.write(f"{m} {_fmt(sum(vals) / len(vals))}\n")
+                    fh.write(f"{m} {format_number(sum(vals) / len(vals))}\n")

@@ -17,10 +17,10 @@ The trace is kept as blocks of text, not as one string per record: the
 Tracer joins every BLOCK lines into one string with "\n" as it goes, so a
 record costs its bytes and a newline, about 71 B for a 70 B line, where a
 str of its own costs 49 B more.  A finished run's lines are a TraceLines
-over those blocks, which iterates one block at a time and has a length;
-sweep writes a trace file one block at a time.  Since nothing changes a
-TraceLines after the run, tracecheck.load_records keeps its fold of it on the
-value and every later audit of the run reuses that one parse.
+over those blocks, which iterates one block at a time, has a length and
+writes the trace file.  Since nothing changes a TraceLines after the run,
+tracecheck.load_records keeps its fold of it on the value and every later
+audit of the run reuses that one parse.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from typing import Iterable
 
-from .medium import ABORTED
-from .metrics import MetricsCollector
+from .metrics import ABORTED, MetricsCollector
 
 BLOCK = 256  # lines per block of a TraceLines
 
@@ -59,6 +58,14 @@ class TraceLines:
 
     def __repr__(self) -> str:
         return f"TraceLines(<{self._len} lines>)"
+
+    def write(self, path: str) -> None:
+        """The trace file at path, "\n".join(lines) + "\n" (one blank line if
+        empty), written a block at a time so no joined copy is held."""
+        with open(path, "w", encoding="utf-8") as fh:
+            for block in self.blocks or [""]:
+                fh.write(block)
+                fh.write("\n")
 
 
 class Tracer(MetricsCollector):

@@ -4,7 +4,8 @@ Everything here re-derives channel physics from the JSONL records alone:
 interval overlap by sweep-line, tone occupancy by counting assertions,
 busy time by interval union.  None of the simulator's internal flags are
 consulted, so this module can catch bookkeeping bugs the simulator itself
-cannot see.
+cannot see.  It imports only config, trace and metrics (and engine through
+them), none of the simulator it audits: no medium, mac, simulation or sweep.
 
 _records is the only place a trace line is parsed, whatever holds the lines
 (a run's trace.TraceLines, a list or a file): CHUNK lines at a time, with
@@ -19,9 +20,10 @@ record, a tx_end without its tx_start included, raises a ValueError that
 names its line.  scan_trace and replay_csv_row are load_records plus their
 own checks or counts, and count_kinds is its count of each kind.  The
 replay takes every count from the trace and shares with the simulator only
-metrics.summarize, which turns counts into a RunSummary.  The tone check is
-a two-pointer sweep over the transmissions and the tone spans, both sorted
-by start, so an audit takes O(n log n) time in the number of records.
+metrics.summarize, which turns counts into a RunSummary, and the row format.
+The tone check is a two-pointer sweep over the transmissions and the tone
+spans, both sorted by start, so an audit takes O(n log n) time in the number
+of records.
 
 A run's in-memory trace, a trace.TraceLines, is folded at most once: the
 first load_records that succeeds keeps its Trace on the value and every
@@ -51,9 +53,8 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .config import ConfigError, read_scenario
-from .medium import ABORTED, CLEAN, COLLIDED
-from .metrics import ACK_FTYPE, CLASSES, DATA_CLASS, DATA_FTYPE, summarize
-from .sweep import summary_row
+from .metrics import (ABORTED, ACK_FTYPE, CLASSES, CLEAN, COLLIDED, DATA_CLASS,
+                      DATA_FTYPE, summarize, summary_row)
 from .trace import TraceLines
 
 

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from btwifi.config import EdcaParams, PhyConstants
 from btwifi.engine import Engine
-from btwifi.mac import EdcaParams, Frame, PhyConstants, Station
+from btwifi.mac import Frame, Station
 from btwifi.medium import Medium
 from btwifi.trace import Tracer
 from btwifi.urllc import UrllcStation

@@ -131,6 +131,8 @@ def run_point(point) -> tuple[str, list]:
     """The summary row and trace lines of one point, in this process's tree."""
     from btwifi.config import ScenarioConfig
     from btwifi.simulation import run_single
+    # from sweep, not metrics: the worker also runs trees from before
+    # summary_row moved to metrics, and sweep still imports it
     from btwifi.sweep import summary_row
 
     cfg = scenario(ScenarioConfig(), point["config"])
@@ -169,7 +171,8 @@ def start_worker(src: Path, points, dump_dir=None) -> subprocess.Popen:
 
 
 def collect(proc: subprocess.Popen, src: Path) -> list[dict]:
-    lines = proc.stdout.read().splitlines()
+    with proc.stdout:
+        lines = proc.stdout.read().splitlines()
     if proc.wait() != 0:
         raise RuntimeError(f"worker for {src} exited with {proc.returncode}")
     tree = json.loads(lines[0])["tree"]

@@ -11,8 +11,9 @@ import time
 import pytest
 
 from btwifi.config import ScenarioConfig
+from btwifi.metrics import summary_row
 from btwifi.simulation import run_single
-from btwifi.sweep import render_csv, run_sweep, summary_row
+from btwifi.sweep import render_csv, run_sweep
 from btwifi.tracecheck import (collect_transmissions, count_kinds,
                                load_records, replay_csv_row, scan_trace,
                                union_measure)

@@ -4,9 +4,8 @@ from pathlib import Path
 import pytest
 
 from btwifi.cli import main
-from btwifi.config import (ConfigError, RunConfig, ScenarioConfig, parse_config,
-                           read_scenario)
-from btwifi.mac import EdcaParams, PhyConstants
+from btwifi.config import (ConfigError, EdcaParams, PhyConstants, RunConfig,
+                           ScenarioConfig, parse_config, read_scenario)
 
 
 def test_empty_file_yields_full_defaults():

@@ -8,8 +8,9 @@ import random
 
 import pytest
 
+from btwifi.config import EdcaParams, PhyConstants
 from btwifi.engine import ContractViolation, RngStream
-from btwifi.mac import EdcaParams, PhyConstants, Station, aifs
+from btwifi.mac import Station, aifs
 from btwifi.traffic import ExpAfterSuccessSource, SaturatedSource
 
 from conftest import PHY, Bench, backoff

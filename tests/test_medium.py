@@ -3,8 +3,8 @@ import random
 import pytest
 
 from btwifi.engine import ContractViolation, Engine
-from btwifi.medium import ABORTED, CLEAN, COLLIDED, Medium
-from btwifi.metrics import MetricsCollector
+from btwifi.medium import Medium
+from btwifi.metrics import ABORTED, CLEAN, COLLIDED, MetricsCollector
 
 from conftest import Bench, backoff
 

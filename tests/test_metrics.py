@@ -2,8 +2,8 @@ import pytest
 
 from btwifi.engine import ContractViolation
 from btwifi.mac import Frame
-from btwifi.medium import ABORTED, CLEAN, COLLIDED, Transmission
-from btwifi.metrics import MetricsCollector, nearest_rank
+from btwifi.medium import Transmission
+from btwifi.metrics import ABORTED, CLEAN, COLLIDED, MetricsCollector, nearest_rank
 
 
 def make_frame(arrival, sta="u0"):

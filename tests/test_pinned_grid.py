@@ -20,8 +20,8 @@ from dataclasses import replace
 import pytest
 
 from btwifi.config import ScenarioConfig
+from btwifi.metrics import summary_row
 from btwifi.simulation import run_single
-from btwifi.sweep import summary_row
 
 BASE = ScenarioConfig(sim_duration=1_000_000, warmup=100_000)
 CONFIGS = {

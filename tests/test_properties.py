@@ -17,8 +17,8 @@ from collections import Counter
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from btwifi.config import ScenarioConfig
+from btwifi.metrics import summary_row
 from btwifi.simulation import run_single
-from btwifi.sweep import summary_row
 from btwifi.tracecheck import replay_csv_row, scan_trace
 from differential import draw_small, scenario
 from test_simulation import cyclic_garbage

@@ -1,6 +1,9 @@
-"""The package imports nothing outside the standard library and itself."""
+"""The package imports nothing outside the standard library and itself, and
+the trace auditor loads none of the simulator it audits."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,3 +42,21 @@ def test_the_check_flags_a_third_party_and_an_escaping_import(tmp_path):
                     "from __future__ import annotations\nfrom yaml import load\n")
     assert foreign_imports(path) == ["mod.py:1: numpy.linalg", "mod.py:2: ..",
                                      "mod.py:6: yaml"]
+
+
+def btwifi_modules_loaded_by(module):
+    """The btwifi modules that importing module loads in a fresh interpreter."""
+    code = (f"import sys, {module}; "
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'btwifi'))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    return set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout.split())
+
+
+def test_the_auditor_loads_none_of_the_simulator():
+    assert btwifi_modules_loaded_by("btwifi.tracecheck") == {
+        "btwifi", "btwifi.config", "btwifi.engine", "btwifi.metrics",
+        "btwifi.trace", "btwifi.tracecheck"}
+    assert btwifi_modules_loaded_by("btwifi") == {"btwifi"}
+    config = btwifi_modules_loaded_by("btwifi.config")
+    assert not config & {"btwifi.mac", "btwifi.medium"}

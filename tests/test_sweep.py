@@ -11,10 +11,10 @@ import pytest
 from btwifi.cli import main
 from btwifi.config import ScenarioConfig
 from btwifi.engine import ContractViolation
-from btwifi.metrics import RunSummary
+from btwifi.metrics import CSV_COLUMNS, CSV_HEADER, RunSummary, summary_row
 from btwifi.simulation import run_single
-from btwifi.sweep import (CSV_COLUMNS, CSV_HEADER, expand_grid, render_csv,
-                          run_sweep, summary_row, trace_filename, write_outputs)
+from btwifi.sweep import (expand_grid, render_csv, run_sweep, trace_filename,
+                          write_outputs)
 from test_pinned_grid import CONFIGS, PINS
 from test_simulation import cyclic_garbage
 
@@ -114,9 +114,11 @@ def test_pool_size_is_capped_by_points_and_cpus(monkeypatch):
 
 
 def test_importing_the_package_loads_no_worker_pool():
-    # run_sweep imports the pool only to open one; a lone run never pays for it
+    # run_sweep imports the pool only to open one; a lone run or a serial
+    # sweep never pays for it
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys; before = set(sys.modules); import btwifi; "
+    code = ("import sys; before = set(sys.modules); "
+            "import btwifi.simulation, btwifi.sweep; "
             "print(sorted(m for m in set(sys.modules) - before "
             "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))")
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -9,7 +9,8 @@ import pytest
 
 from btwifi.config import ScenarioConfig
 from btwifi.mac import Frame
-from btwifi.medium import ABORTED, CLEAN, COLLIDED, Transmission
+from btwifi.medium import Transmission
+from btwifi.metrics import ABORTED, CLEAN, COLLIDED
 from btwifi.simulation import run_single
 from btwifi.trace import BLOCK, Tracer
 from conftest import trace_lines

@@ -10,8 +10,8 @@ import pytest
 
 from btwifi import tracecheck
 from btwifi.config import ScenarioConfig
+from btwifi.metrics import summary_row
 from btwifi.simulation import run_single
-from btwifi.sweep import summary_row
 from btwifi.trace import TraceLines
 from btwifi.tracecheck import (collect_transmissions, count_kinds,
                                load_records, mark_overlaps, replay_csv_row,
